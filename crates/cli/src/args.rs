@@ -22,6 +22,9 @@ pub enum ArgError {
     },
     /// A required key was absent.
     Required(String),
+    /// A `--key` that no command reads (a typo would otherwise silently
+    /// run the defaults).
+    UnknownOption(String),
 }
 
 impl fmt::Display for ArgError {
@@ -33,6 +36,7 @@ impl fmt::Display for ArgError {
                 write!(f, "--{key} {value}: expected {expected}")
             }
             ArgError::Required(k) => write!(f, "missing required option --{k}"),
+            ArgError::UnknownOption(k) => write!(f, "unknown option --{k} (see `kpm help`)"),
         }
     }
 }
@@ -48,6 +52,60 @@ pub struct Args {
 
 /// Keys that are boolean flags (no value).
 const FLAGS: &[&str] = &["full", "help", "no-locality", "no-tune", "once", "quiet", "stats"];
+
+/// Keys that take a value: every `--key` some command reads. Anything
+/// outside this list and [`FLAGS`] is an [`ArgError::UnknownOption`].
+const KEYS: &[&str] = &[
+    "addr",
+    "alpha",
+    "backoff-ms",
+    "bc",
+    "beta",
+    "bounds",
+    "cache-capacity",
+    "cache-dir",
+    "device",
+    "disorder",
+    "dseed",
+    "exec",
+    "format",
+    "hopping",
+    "inventory-cap",
+    "jobs",
+    "journal",
+    "kernel",
+    "kill-after",
+    "lambda",
+    "lattice",
+    "listen",
+    "local-workers",
+    "max-inflight",
+    "metrics-every-secs",
+    "momenta",
+    "moments",
+    "out",
+    "precision",
+    "profile-store",
+    "queue",
+    "random",
+    "realizations",
+    "refine",
+    "resolution",
+    "retries",
+    "seed",
+    "sets",
+    "shards",
+    "site",
+    "spec",
+    "steps",
+    "storage",
+    "stream",
+    "threads",
+    "time",
+    "timeout-secs",
+    "trace",
+    "workers",
+];
 
 impl Args {
     /// Parses raw arguments (after the subcommand).
@@ -67,7 +125,7 @@ impl Args {
     /// `kpm batch <jobs-file>`.
     ///
     /// # Errors
-    /// [`ArgError`] on malformed `--key` options.
+    /// [`ArgError`] on malformed or unknown `--key` options.
     pub fn parse_with_positionals<I: IntoIterator<Item = String>>(
         raw: I,
     ) -> Result<(Self, Vec<String>), ArgError> {
@@ -78,6 +136,8 @@ impl Args {
             if let Some(key) = a.strip_prefix("--") {
                 if FLAGS.contains(&key) {
                     out.flags.push(key.to_string());
+                } else if !KEYS.contains(&key) {
+                    return Err(ArgError::UnknownOption(key.into()));
                 } else {
                     let v = iter.next().ok_or_else(|| ArgError::MissingValue(key.into()))?;
                     out.values.insert(key.to_string(), v);
@@ -165,6 +225,17 @@ mod tests {
             Err(ArgError::MissingValue(k)) => assert_eq!(k, "moments"),
             other => panic!("expected MissingValue, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unknown_options_rejected() {
+        for words in [&["--bogus-flag", "3"][..], &["--recursion", "doubling"], &["--exce", "rows"]]
+        {
+            let key = words[0].trim_start_matches("--");
+            assert_eq!(parse(words).unwrap_err(), ArgError::UnknownOption(key.into()));
+        }
+        let e = parse(&["--moments", "16", "--bogus-flag", "3"]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown option --bogus-flag (see `kpm help`)");
     }
 
     #[test]

@@ -974,6 +974,24 @@ mod tests {
     }
 
     #[test]
+    fn every_documented_option_parses() {
+        // Each `--key` the usage text names is one the parser accepts, so
+        // the unknown-option check can never refuse a documented option.
+        let keys: std::collections::BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|k| !k.is_empty() && *k != "key") // `[--key value ...]`
+            .collect();
+        assert!(keys.len() > 40, "{keys:?}");
+        for key in keys {
+            let words = [format!("--{key}"), "1".to_string()];
+            if let Err(e) = Args::parse_with_positionals(words) {
+                panic!("--{key} is documented but refused: {e}");
+            }
+        }
+    }
+
+    #[test]
     fn dos_on_small_lattice() {
         let a = args(&["--lattice", "chain:64", "--moments", "64", "--sets", "1"]);
         let report = dos(&a).unwrap();

@@ -2,20 +2,23 @@
 //!
 //! The stochastic estimator has two independent axes of parallelism:
 //!
-//! * **Realizations** — the `R * S` random-vector chunks are embarrassingly
-//!   parallel (the historical behavior, gated on
-//!   [`vecops::par_min_dim`]).
+//! * **Realizations** — the `R * S` random-vector columns are
+//!   embarrassingly parallel (Weiße et al., §II.D). The untiled engine
+//!   fans whole realization chunks out (gated on [`vecops::par_min_dim`]);
+//!   the tiled [`ExecPlan::Hybrid`] plan gives each thread its own
+//!   contiguous run of columns, the CPU analogue of the paper's one thread
+//!   block per realization, with no synchronization between runs.
 //! * **Rows** — within one realization block, the matrix dimension can be
 //!   split into tiles whose fused Chebyshev steps run on the row-tiled
 //!   engine ([`kpm_linalg::tiled`]), the CPU analogue of the paper's
-//!   in-kernel GPU parallelism.
+//!   in-kernel GPU parallelism. Every step ends at a barrier, which only
+//!   pays once a lone chunk leaves nothing else to split.
 //!
-//! [`plan`] picks a strategy from `(D, chunk count, thread budget)`,
-//! replacing the old all-or-nothing `PAR_MIN_DIM` cliff: a lone fat job
-//! (one realization chunk, large `D`) can now use every core, and the
-//! flagship `D = 1000` lattice — below the realization-parallel threshold,
-//! so previously fully serial — gets in-realization parallelism plus the
-//! single-sweep fused step.
+//! [`plan`] picks a strategy from `(D, chunk count, thread budget)`: from
+//! `D >= ROW_MIN_DIM` on, [`ExecPolicy::Auto`] gives every thread its own
+//! column run whenever there are at least two chunks and two threads, and
+//! row-tiles a lone chunk (one set, as every serve job is) across all
+//! threads.
 //!
 //! # Determinism
 //!
@@ -26,11 +29,16 @@
 //!   untiled blocked recursion — bitwise identical to the scalar path.
 //! * [`ExecPolicy::Rows`] and [`ExecPolicy::Hybrid`] run the tiled engine,
 //!   whose canonical tile-order reduction makes results bitwise independent
-//!   of the thread count; Rows and Hybrid are bitwise identical to each
+//!   of the thread count, and whose per-column arithmetic does not depend
+//!   on the block width; Rows and Hybrid are bitwise identical to each
 //!   other (they differ only in scheduling).
 //! * [`ExecPolicy::Auto`] switches family on `dim` alone
 //!   ([`ROW_MIN_DIM`]), so range-sliced shard workers and the single-process
 //!   estimator still agree bitwise for every `dim`.
+//!
+//! An explicit policy that cannot run as asked (realization-parallel below
+//! the cutoff, hybrid with one chunk or one thread) falls back to the plan
+//! [`plan_with`] documents; [`downgrade`] names why, for the trace.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -56,8 +64,9 @@ pub enum ExecPolicy {
     /// Row-tiled parallelism within each realization chunk; chunks run one
     /// after another.
     Rows,
-    /// Split the thread budget across both axes: several realization chunks
-    /// in flight, each on a share of the threads.
+    /// One contiguous run of realization columns per thread, each run
+    /// row-tiled on its own share of the threads, with no barrier between
+    /// runs.
     Hybrid,
 }
 
@@ -246,11 +255,12 @@ pub enum ExecPlan {
         /// Tile height in rows.
         tile_rows: usize,
     },
-    /// Tiled fused recursion inside each chunk, several chunks in flight.
+    /// Tiled fused recursion over `outer` contiguous realization-column
+    /// runs at once, each on its own thread group.
     Hybrid {
-        /// Realization chunks in flight at once.
+        /// Column runs in flight at once.
         outer: usize,
-        /// Worker threads inside each chunk.
+        /// Worker threads inside each run.
         inner: usize,
         /// Tile height in rows.
         tile_rows: usize,
@@ -321,6 +331,19 @@ pub fn plan_for(dim: usize, model_entries: usize, chunks: usize) -> ExecPlan {
 
 /// [`plan`] with every input explicit — the deterministic core, also used
 /// directly by benches and tests.
+///
+/// * `Realizations` — the historical untiled dispatch: realization-parallel
+///   iff `dim` clears [`vecops::par_min_dim`] and there are two chunks,
+///   else `Serial`.
+/// * `Rows` — every chunk in turn, row-tiled across all `threads`.
+/// * `Hybrid` — `Hybrid { outer: threads, inner: 1 }`: each thread runs
+///   its own contiguous run of realization columns. With one chunk or one
+///   thread there is nothing to split, and it runs as `Rows`.
+/// * `Auto` — below [`ROW_MIN_DIM`] the `Realizations` dispatch (tiles would
+///   be pure overhead, and small-D results stay bitwise identical to
+///   previous releases); above it, `Hybrid` when `chunks >= 2` and
+///   `threads >= 2`, else `Rows`. A lone chunk stays on `Rows`: halving a
+///   14-column set only ties row tiling on the paper's lattice.
 pub fn plan_with(
     policy: ExecPolicy,
     dim: usize,
@@ -331,25 +354,34 @@ pub fn plan_with(
     let threads = threads.max(1);
     match policy {
         ExecPolicy::Realizations => untiled(dim, chunks),
+        ExecPolicy::Auto if dim < ROW_MIN_DIM => untiled(dim, chunks),
         ExecPolicy::Rows => ExecPlan::Rows { threads, tile_rows },
-        ExecPolicy::Hybrid => {
-            let outer = chunks.clamp(1, threads);
-            ExecPlan::Hybrid { outer, inner: (threads / outer).max(1), tile_rows }
-        }
-        ExecPolicy::Auto => {
-            if dim < ROW_MIN_DIM {
-                // Tiny operators: tiles would be pure overhead; keep the
-                // historical behavior (which also keeps small-D results
-                // bitwise identical to previous releases).
-                untiled(dim, chunks)
-            } else if chunks >= 2 && threads >= 4 {
-                let outer = chunks.clamp(1, threads / 2);
-                ExecPlan::Hybrid { outer, inner: (threads / outer).max(1), tile_rows }
+        ExecPolicy::Hybrid | ExecPolicy::Auto => {
+            if chunks >= 2 && threads >= 2 {
+                ExecPlan::Hybrid { outer: threads, inner: 1, tile_rows }
             } else {
                 ExecPlan::Rows { threads, tile_rows }
             }
         }
     }
+}
+
+/// Why an explicit `policy` resolved to a plan of another name, or `None`
+/// when it ran as asked (`Auto` never downgrades: it asks for nothing in
+/// particular). [`crate::moments::per_realization_moments`] counts each
+/// downgrade as `kpm.exec.downgrade.<requested>.<resolved>` and puts the
+/// reason on the `kpm.exec` span label.
+pub fn downgrade(policy: ExecPolicy, plan: &ExecPlan, dim: usize, chunks: usize) -> Option<String> {
+    if policy == ExecPolicy::Auto || policy.as_str() == plan.name() {
+        return None;
+    }
+    Some(match plan {
+        ExecPlan::Serial if !vecops::use_parallel(dim) => {
+            format!("dim {dim} < par_min_dim {}", vecops::par_min_dim())
+        }
+        ExecPlan::Rows { threads: 1, .. } if chunks >= 2 => "one thread".to_string(),
+        _ => "one chunk".to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -390,24 +422,60 @@ mod tests {
 
     #[test]
     fn auto_hybrid_splits_the_budget() {
-        let plan = plan_with(ExecPolicy::Auto, 1000, 10, 8, TR);
-        match plan {
-            ExecPlan::Hybrid { outer, inner, tile_rows } => {
-                assert_eq!(outer, 4);
-                assert_eq!(inner, 2);
-                assert_eq!(tile_rows, TR);
-                assert!(outer * inner <= 8);
-            }
-            other => panic!("expected hybrid, got {other:?}"),
+        // One column run per thread, whatever the chunk count.
+        for chunks in [2, 10] {
+            assert_eq!(
+                plan_with(ExecPolicy::Auto, 1000, chunks, 8, TR),
+                ExecPlan::Hybrid { outer: 8, inner: 1, tile_rows: TR }
+            );
         }
     }
 
     #[test]
     fn auto_rows_when_threads_too_few_to_split() {
+        // Two threads are enough to split (the paper's fig5 shape: three
+        // sets); one thread or one chunk leaves nothing to split.
         assert_eq!(
-            plan_with(ExecPolicy::Auto, 1000, 10, 2, TR),
+            plan_with(ExecPolicy::Auto, 1000, 3, 2, TR),
+            ExecPlan::Hybrid { outer: 2, inner: 1, tile_rows: TR }
+        );
+        assert_eq!(
+            plan_with(ExecPolicy::Auto, 1000, 10, 1, TR),
+            ExecPlan::Rows { threads: 1, tile_rows: TR }
+        );
+        assert_eq!(
+            plan_with(ExecPolicy::Auto, 1000, 1, 2, TR),
             ExecPlan::Rows { threads: 2, tile_rows: TR }
         );
+    }
+
+    #[test]
+    fn explicit_hybrid_runs_as_auto_and_degenerates_to_rows() {
+        for (chunks, threads) in [(3, 2), (10, 8), (1, 2), (3, 1)] {
+            assert_eq!(
+                plan_with(ExecPolicy::Hybrid, 256, chunks, threads, TR),
+                plan_with(ExecPolicy::Auto, 1000, chunks, threads, TR)
+            );
+        }
+    }
+
+    #[test]
+    fn downgrades_name_the_reason() {
+        let resolve = |policy, dim, chunks, threads| {
+            let plan = plan_with(policy, dim, chunks, threads, TR);
+            (plan.name(), downgrade(policy, &plan, dim, chunks))
+        };
+        let below = format!("dim 1000 < par_min_dim {}", vecops::par_min_dim());
+        assert_eq!(resolve(ExecPolicy::Realizations, 1000, 3, 2), ("serial", Some(below)));
+        assert_eq!(
+            resolve(ExecPolicy::Realizations, 1 << 20, 1, 2),
+            ("serial", Some("one chunk".into()))
+        );
+        assert_eq!(resolve(ExecPolicy::Hybrid, 1000, 1, 2), ("rows", Some("one chunk".into())));
+        assert_eq!(resolve(ExecPolicy::Hybrid, 1000, 3, 1), ("rows", Some("one thread".into())));
+        assert_eq!(resolve(ExecPolicy::Hybrid, 1000, 3, 2), ("hybrid", None));
+        assert_eq!(resolve(ExecPolicy::Realizations, 1 << 20, 3, 2), ("realizations", None));
+        assert_eq!(resolve(ExecPolicy::Auto, 1000, 1, 2), ("rows", None));
     }
 
     #[test]

@@ -335,6 +335,11 @@ pub fn realization_chunk_count(params: &KpmParams, range: std::ops::Range<usize>
 /// coordinator half, and [`stochastic_moments`] is literally the two glued
 /// together over the full range.
 ///
+/// The plan comes from [`exec::plan_for`]; it is traced as a `kpm.exec`
+/// span labelled with its name (plus the reason, when an explicit policy
+/// was downgraded) and `kpm.exec.plan.<name>` /
+/// `kpm.exec.downgrade.<requested>.<resolved>` counters.
+///
 /// # Panics
 /// Panics if parameters are invalid, `range` is empty, or
 /// `range.end > params.total_realizations()`.
@@ -343,43 +348,75 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
     params: &KpmParams,
     range: std::ops::Range<usize>,
 ) -> Vec<Vec<f64>> {
-    params.validate().expect("invalid KPM parameters");
-    assert!(!range.is_empty(), "empty realization range");
-    assert!(
-        range.end <= params.total_realizations(),
-        "range {range:?} exceeds {} total realizations",
-        params.total_realizations()
-    );
+    check_range(params, &range);
+    let d = op.dim();
+    // Mixed precision is value-affecting and opt-in: it runs the untiled
+    // f32-state recursion serially per chunk (one value family, documented
+    // in DESIGN §12), bypassing the calibrated planner entirely.
+    if exec::moments_precision() == exec::MomentPrecision::MixedF32 {
+        if kpm_obs::enabled() {
+            kpm_obs::counter_add("kpm.exec.plan.mixed", 1);
+        }
+        let _exec_span = kpm_obs::span_labeled("kpm.exec", "mixed");
+        return realization_chunks(params.num_random, range)
+            .iter()
+            .flat_map(|(s, rs)| {
+                let block = start_block(params, d, *s, rs);
+                let per_column =
+                    block_vector_moments_mixed(op, &block, rs.len(), params.num_moments);
+                kpm_obs::counter_add("kpm.realizations", rs.len() as u64);
+                normalized(per_column, d)
+            })
+            .collect();
+    }
+
+    let chunks = realization_chunk_count(params, range.clone());
+    let policy = exec::exec_policy();
+    let plan = exec::plan_for(d, op.model_entries(), chunks);
+    let downgrade = exec::downgrade(policy, &plan, d, chunks);
+    if kpm_obs::enabled() {
+        kpm_obs::counter_add(&format!("kpm.exec.plan.{}", plan.name()), 1);
+        if downgrade.is_some() {
+            let name = format!("kpm.exec.downgrade.{}.{}", policy.as_str(), plan.name());
+            kpm_obs::counter_add(&name, 1);
+        }
+    }
+    let label = match &downgrade {
+        Some(why) => format!("{} ({} downgraded: {why})", plan.name(), policy.as_str()),
+        None => plan.name().to_string(),
+    };
+    let _exec_span = kpm_obs::span_labeled("kpm.exec", &label);
+    per_realization_moments_with_plan(op, params, range, plan)
+}
+
+/// [`per_realization_moments`] under an explicit `plan`, with no policy
+/// lookup and no plan tracing — the scheduler itself, for benches and
+/// tests.
+///
+/// Every plan yields the same bits within its value family: the tiled
+/// plans (`Rows`, `Hybrid`) agree bitwise with each other for every
+/// thread split, because each tiled column's stream, combine and segment
+/// dots depend neither on the block width nor on the worker count.
+///
+/// # Panics
+/// As [`per_realization_moments`].
+pub fn per_realization_moments_with_plan<A: TiledOp + Sync>(
+    op: &A,
+    params: &KpmParams,
+    range: std::ops::Range<usize>,
+    plan: ExecPlan,
+) -> Vec<Vec<f64>> {
+    check_range(params, &range);
     let d = op.dim();
     let n = params.num_moments;
-    let r_per_s = params.num_random;
 
-    // Group the index range by realization set: (s, r_lo..r_hi) chunks, one
-    // D x (r_hi - r_lo) block each. A full interior set keeps its full-R
-    // block exactly as the unsharded driver builds it.
-    let chunks = realization_chunks(r_per_s, range);
-
+    // One set's slice `(s, r_lo..r_hi)` as one D x (r_hi - r_lo) block
+    // through the untiled blocked recursion.
     let run_chunk = |(s, rs): &(usize, std::ops::Range<usize>)| -> Vec<Vec<f64>> {
-        let k = rs.len();
-        let mut block = vec![0.0; d * k];
-        for (j, r) in rs.clone().enumerate() {
-            fill_random_vector(
-                params.distribution,
-                params.seed,
-                *s,
-                r,
-                &mut block[j * d..(j + 1) * d],
-            );
-        }
-        let mut per_column = block_vector_moments(op, &block, k, n, params.recursion);
-        let inv_d = 1.0 / d as f64;
-        for mu in per_column.iter_mut() {
-            for m in mu.iter_mut() {
-                *m *= inv_d;
-            }
-        }
-        kpm_obs::counter_add("kpm.realizations", k as u64);
-        per_column
+        let block = start_block(params, d, *s, rs);
+        let per_column = block_vector_moments(op, &block, rs.len(), n, params.recursion);
+        kpm_obs::counter_add("kpm.realizations", rs.len() as u64);
+        normalized(per_column, d)
     };
 
     // Same chunk, but through the row-tiled fused engine: the recursion,
@@ -390,17 +427,8 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
                            tile_rows: usize|
      -> Vec<Vec<f64>> {
         let k = rs.len();
-        let mut block = vec![0.0; d * k];
-        for (j, r) in rs.clone().enumerate() {
-            fill_random_vector(
-                params.distribution,
-                params.seed,
-                *s,
-                r,
-                &mut block[j * d..(j + 1) * d],
-            );
-        }
-        let (mut per_column, stats) = match params.recursion {
+        let block = start_block(params, d, *s, rs);
+        let (per_column, stats) = match params.recursion {
             Recursion::Plain => {
                 tiled::fused_block_moments_plain(op, &block, k, n, threads, tile_rows)
             }
@@ -408,12 +436,6 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
                 tiled::fused_block_moments_doubling(op, &block, k, n, threads, tile_rows)
             }
         };
-        let inv_d = 1.0 / d as f64;
-        for mu in per_column.iter_mut() {
-            for m in mu.iter_mut() {
-                *m *= inv_d;
-            }
-        }
         if kpm_obs::enabled() {
             kpm_obs::counter_add("kpm.exec.tiles", stats.tiles);
             kpm_obs::counter_add("kpm.exec.steal", stats.steals);
@@ -422,102 +444,84 @@ pub fn per_realization_moments<A: TiledOp + Sync>(
             kpm_obs::counter_add(&format!("kpm.spmm.width.{k}"), stats.sweeps);
         }
         kpm_obs::counter_add("kpm.realizations", k as u64);
-        per_column
+        normalized(per_column, d)
     };
 
-    // Mixed precision is value-affecting and opt-in: it runs the untiled
-    // f32-state recursion serially per chunk (one value family, documented
-    // in DESIGN §12), bypassing the calibrated planner entirely.
-    let mixed = exec::moments_precision() == exec::MomentPrecision::MixedF32;
-    let run_chunk_mixed = |(s, rs): &(usize, std::ops::Range<usize>)| -> Vec<Vec<f64>> {
-        let k = rs.len();
-        let mut block = vec![0.0; d * k];
-        for (j, r) in rs.clone().enumerate() {
-            fill_random_vector(
-                params.distribution,
-                params.seed,
-                *s,
-                r,
-                &mut block[j * d..(j + 1) * d],
-            );
-        }
-        let mut per_column = block_vector_moments_mixed(op, &block, k, n);
-        let inv_d = 1.0 / d as f64;
-        for mu in per_column.iter_mut() {
-            for m in mu.iter_mut() {
-                *m *= inv_d;
-            }
-        }
-        kpm_obs::counter_add("kpm.realizations", k as u64);
-        per_column
-    };
-    if mixed {
-        if kpm_obs::enabled() {
-            kpm_obs::counter_add("kpm.exec.plan.mixed", 1);
-        }
-        let _exec_span = kpm_obs::span_labeled("kpm.exec", "mixed");
-        let per_chunk: Vec<Vec<Vec<f64>>> = chunks.iter().map(run_chunk_mixed).collect();
-        return per_chunk.into_iter().flatten().collect();
-    }
-
-    let plan = exec::plan_for(d, op.model_entries(), chunks.len());
-    if kpm_obs::enabled() {
-        kpm_obs::counter_add(&format!("kpm.exec.plan.{}", plan.name()), 1);
-    }
-    let _exec_span = kpm_obs::span_labeled("kpm.exec", plan.name());
-    let per_chunk: Vec<Vec<Vec<f64>>> = match plan {
-        ExecPlan::Serial => chunks.iter().map(run_chunk).collect(),
+    let chunks_of = |run: std::ops::Range<usize>| realization_chunks(params.num_random, run);
+    match plan {
+        ExecPlan::Serial => chunks_of(range).iter().flat_map(run_chunk).collect(),
         ExecPlan::Realizations => {
-            (0..chunks.len()).into_par_iter().map(|i| run_chunk(&chunks[i])).collect()
+            let chunks = chunks_of(range);
+            let per_chunk: Vec<Vec<Vec<f64>>> =
+                (0..chunks.len()).into_par_iter().map(|i| run_chunk(&chunks[i])).collect();
+            per_chunk.into_iter().flatten().collect()
         }
         ExecPlan::Rows { threads, tile_rows } => {
-            chunks.iter().map(|c| run_chunk_tiled(c, threads, tile_rows)).collect()
+            chunks_of(range).iter().flat_map(|c| run_chunk_tiled(c, threads, tile_rows)).collect()
         }
-        ExecPlan::Hybrid { outer, inner, tile_rows } => {
-            run_chunks_hybrid(outer, &chunks, |c| run_chunk_tiled(c, inner, tile_rows))
-        }
-    };
-    per_chunk.into_iter().flatten().collect()
+        ExecPlan::Hybrid { outer, inner, tile_rows } => column_runs(outer, range, |run| {
+            chunks_of(run).iter().flat_map(|c| run_chunk_tiled(c, inner, tile_rows)).collect()
+        }),
+    }
 }
 
-/// Runs `f` over `items` with up to `outer` chunks in flight (the calling
-/// thread participates), collecting results *by index* so the output order
-/// — and therefore the canonical realization-order reduction downstream —
-/// is independent of scheduling.
-fn run_chunks_hybrid<C: Sync, T: Send, F: Fn(&C) -> T + Sync>(
+/// Cuts `range` into at most `outer` near-equal contiguous runs
+/// ([`shard_plan`] boundaries) and maps `f` over them, one thread per run
+/// (the calling thread takes the first), with no synchronization between
+/// runs until they are joined. Results are concatenated in run order, so
+/// the output — and the canonical realization-order reduction downstream —
+/// does not depend on scheduling. The [`ExecPlan::Hybrid`] scheduler; the
+/// tuner's probe times it too.
+///
+/// # Panics
+/// Panics if `range` is empty or `outer == 0`; re-raises a run's panic.
+pub(crate) fn column_runs<T: Send>(
     outer: usize,
-    items: &[C],
-    f: F,
+    range: std::ops::Range<usize>,
+    f: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
 ) -> Vec<T> {
-    if outer <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        match items.get(i) {
-            Some(item) => *slots[i].lock().expect("hybrid slot poisoned") = Some(f(item)),
-            None => break,
-        }
-    };
+    let base = range.start;
+    let mut runs = shard_plan(range.len(), outer).into_iter().map(|r| base + r.start..base + r.end);
+    let first = runs.next().expect("shard_plan yields at least one run");
     std::thread::scope(|scope| {
-        let worker = &worker;
-        for _ in 1..outer.min(items.len()) {
-            scope.spawn(worker);
+        let f = &f;
+        let rest: Vec<_> = runs.map(|run| scope.spawn(move || f(run))).collect();
+        let mut out = f(first);
+        for handle in rest {
+            out.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-        worker();
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("hybrid slot poisoned")
-                .expect("hybrid worker skipped a chunk — internal bug")
-        })
-        .collect()
+        out
+    })
+}
+
+/// The range checks shared by both moment entry points.
+fn check_range(params: &KpmParams, range: &std::ops::Range<usize>) {
+    params.validate().expect("invalid KPM parameters");
+    assert!(!range.is_empty(), "empty realization range");
+    assert!(
+        range.end <= params.total_realizations(),
+        "range {range:?} exceeds {} total realizations",
+        params.total_realizations()
+    );
+}
+
+/// The `D x rs.len()` start block of set `s`: column `j` is realization
+/// `(s, rs.start + j)`'s random vector.
+fn start_block(params: &KpmParams, d: usize, s: usize, rs: &std::ops::Range<usize>) -> Vec<f64> {
+    let mut block = vec![0.0; d * rs.len()];
+    for (j, r) in rs.clone().enumerate() {
+        fill_random_vector(params.distribution, params.seed, s, r, &mut block[j * d..(j + 1) * d]);
+    }
+    block
+}
+
+/// Divides raw moments `<r|T_n|r>` by `d`, giving the `mu~_n / D` vectors.
+fn normalized(mut per_column: Vec<Vec<f64>>, d: usize) -> Vec<Vec<f64>> {
+    let inv_d = 1.0 / d as f64;
+    for m in per_column.iter_mut().flatten() {
+        *m *= inv_d;
+    }
+    per_column
 }
 
 /// Computes the moments `<r_0|T_n(H~)|r_0>` (not normalized by `D`) for one

@@ -54,6 +54,7 @@ use kpm_linalg::vecops::{self, KernelVariant};
 use kpm_linalg::DEFAULT_TILE_ROWS;
 
 use crate::exec::{self, ExecPlan, ExecPolicy, ROW_MIN_DIM};
+use crate::moments;
 use crate::random::{fill_random_vector, Distribution};
 
 /// FNV-1a 64-bit — the same constants as serve's `JobSpec` content hashes,
@@ -522,6 +523,17 @@ pub fn prior_profile(shape: ProbeShape) -> ExecProfile {
         shape.threads,
         exec::tile_rows(),
     );
+    profile_of(shape, plan, KernelVariant::Unrolled4, 0, ProfileOrigin::Prior)
+}
+
+/// Records `plan` as the profile for `shape`.
+fn profile_of(
+    shape: ProbeShape,
+    plan: ExecPlan,
+    variant_hint: KernelVariant,
+    probe_nanos: u64,
+    origin: ProfileOrigin,
+) -> ExecProfile {
     let (policy, outer, tile_rows) = match plan {
         ExecPlan::Serial | ExecPlan::Realizations => {
             (ExecPolicy::Realizations, 0, DEFAULT_TILE_ROWS)
@@ -529,38 +541,31 @@ pub fn prior_profile(shape: ProbeShape) -> ExecProfile {
         ExecPlan::Rows { tile_rows, .. } => (ExecPolicy::Rows, 0, tile_rows),
         ExecPlan::Hybrid { outer, tile_rows, .. } => (ExecPolicy::Hybrid, outer, tile_rows),
     };
-    ExecProfile {
-        shape,
-        policy,
-        outer,
-        tile_rows,
-        variant_hint: KernelVariant::Unrolled4,
-        probe_nanos: 0,
-        origin: ProfileOrigin::Prior,
-    }
+    ExecProfile { shape, policy, outer, tile_rows, variant_hint, probe_nanos, origin }
 }
 
-/// Probe workload: two start columns, eight moments — enough sweeps to
-/// leave the cache-cold regime, short enough to stay a micro-benchmark.
+/// Probe workload: at least two start columns (one per thread, so every
+/// `Hybrid` candidate has a column run per worker), eight moments — enough
+/// sweeps to leave the cache-cold regime, short enough to stay a
+/// micro-benchmark.
 const PROBE_COLUMNS: usize = 2;
 const PROBE_MOMENTS: usize = 8;
 
-/// One timed candidate of the probe sweep.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    policy: ExecPolicy,
-    outer: usize,
-    tile_rows: usize,
-}
-
 /// Times a short probe sweep over the value-safe candidate grid and returns
 /// the winner. Counts `kpm.tune.probe` once per sweep.
+///
+/// Each candidate is the [`ExecPlan`] that [`ExecProfile::plan`] would hand
+/// back at `shape.threads`, run through the same schedulers the moments
+/// code uses: `Rows` row-tiles the whole probe block, `Hybrid` gives each
+/// of its `outer` workers its own run of columns via
+/// [`moments::column_runs`].
 fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
     if kpm_obs::enabled() {
         kpm_obs::counter_add("kpm.tune.probe", 1);
     }
     let d = shape.dim;
-    let (k, n) = (PROBE_COLUMNS, PROBE_MOMENTS);
+    let threads = shape.threads.max(1);
+    let (k, n) = (PROBE_COLUMNS.max(threads), PROBE_MOMENTS);
     let mut r0 = vec![0.0f64; d * k];
     for (j, col) in r0.chunks_exact_mut(d).enumerate() {
         // Seed spells "probe" in ASCII.
@@ -569,53 +574,44 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
 
     // Canonical-grid tile heights only (value-safe by construction); larger
     // multiples are pointless once a tile spans the whole operator.
-    let tiles: Vec<usize> = [1usize, 2, 4]
+    let mut candidates: Vec<ExecPlan> = [1usize, 2, 4]
         .iter()
         .map(|m| m * DEFAULT_TILE_ROWS)
         .filter(|&tr| tr == DEFAULT_TILE_ROWS || tr < 2 * d)
+        .map(|tile_rows| ExecPlan::Rows { threads, tile_rows })
         .collect();
-    let mut candidates: Vec<Candidate> = tiles
-        .iter()
-        .map(|&tr| Candidate { policy: ExecPolicy::Rows, outer: 0, tile_rows: tr })
-        .collect();
-    if shape.chunks >= 2 && shape.threads >= 2 {
-        let mut outers = vec![2, shape.threads / 2, shape.chunks.min(shape.threads)];
+    if shape.chunks >= 2 && threads >= 2 {
+        let mut outers = vec![2, threads / 2, threads];
         outers.retain(|&o| o >= 2);
         outers.sort_unstable();
         outers.dedup();
-        for o in outers {
-            candidates.push(Candidate {
-                policy: ExecPolicy::Hybrid,
-                outer: o,
+        for outer in outers {
+            candidates.push(ExecPlan::Hybrid {
+                outer,
+                inner: (threads / outer).max(1),
                 tile_rows: DEFAULT_TILE_ROWS,
             });
         }
     }
 
-    let time_candidate = |c: &Candidate| -> Duration {
-        let run_rows = |threads: usize, tr: usize| {
-            std::hint::black_box(tiled::fused_block_moments_plain(op, &r0, k, n, threads, tr));
-        };
-        let run = || match c.policy {
-            ExecPolicy::Hybrid => {
-                // Model the hybrid split: `outer` concurrent chunk workers,
-                // each on its share of the threads.
-                let inner = (shape.threads / c.outer).max(1);
-                std::thread::scope(|s| {
-                    for _ in 1..c.outer {
-                        s.spawn(|| run_rows(inner, c.tile_rows));
-                    }
-                    run_rows(inner, c.tile_rows);
-                });
-            }
-            _ => run_rows(shape.threads, c.tile_rows),
-        };
+    let sweep = |cols: std::ops::Range<usize>, threads: usize, tile_rows: usize| {
+        let block = &r0[cols.start * d..cols.end * d];
+        tiled::fused_block_moments_plain(op, block, cols.len(), n, threads, tile_rows).0
+    };
+    let run = |plan: &ExecPlan| match *plan {
+        ExecPlan::Hybrid { outer, inner, tile_rows } => {
+            moments::column_runs(outer, 0..k, |cols| sweep(cols, inner, tile_rows))
+        }
+        ExecPlan::Rows { threads, tile_rows } => sweep(0..k, threads, tile_rows),
+        ExecPlan::Serial | ExecPlan::Realizations => unreachable!("untiled plans are not probed"),
+    };
+    let time_candidate = |plan: &ExecPlan| -> Duration {
         // Min of two reps — robust against a stray scheduling hiccup while
         // keeping the sweep in the tens of milliseconds.
         let mut best = Duration::MAX;
         for _ in 0..2 {
             let t0 = Instant::now();
-            run();
+            std::hint::black_box(run(plan));
             best = best.min(t0.elapsed());
         }
         best
@@ -623,14 +619,7 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
 
     // One untimed warmup on the default shape pulls the operator through
     // the cache hierarchy so candidate order doesn't bias the sweep.
-    std::hint::black_box(tiled::fused_block_moments_plain(
-        op,
-        &r0,
-        k,
-        n,
-        shape.threads,
-        DEFAULT_TILE_ROWS,
-    ));
+    std::hint::black_box(run(&candidates[0]));
 
     let mut best = candidates[0];
     let mut best_t = Duration::MAX;
@@ -642,15 +631,8 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
         }
     }
 
-    ExecProfile {
-        shape,
-        policy: best.policy,
-        outer: best.outer,
-        tile_rows: best.tile_rows,
-        variant_hint: variant_hint(d),
-        probe_nanos: best_t.as_nanos().min(u128::from(u64::MAX)) as u64,
-        origin: ProfileOrigin::Measured,
-    }
+    let nanos = best_t.as_nanos().min(u128::from(u64::MAX)) as u64;
+    profile_of(shape, best, variant_hint(d), nanos, ProfileOrigin::Measured)
 }
 
 /// Micro-probes the combine-dot kernel variants on `d`-length buffers and

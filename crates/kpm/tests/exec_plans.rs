@@ -334,3 +334,45 @@ fn sharded_ranges_merge_bitwise_under_tiled_plans() {
         assert_eq!(merged, full, "{shards} shards must reproduce the full run bitwise");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The `Hybrid` scheduler called directly — the policy layer caps
+    /// `outer` at the core count, so this is the only way to reach wide
+    /// splits on a small machine. For every `outer` in 1..=5 and `inner` in
+    /// {1, 2}, over realization ranges that cut through sets and do not
+    /// divide evenly by `outer`, both recursions give moments bitwise equal
+    /// to `Rows` on one thread.
+    #[test]
+    fn hybrid_column_runs_are_bitwise_equal_to_rows(
+        r_per_s in 2usize..6,
+        sets in 1usize..4,
+        cut in (0usize..1000, 0usize..1000),
+        outer in 1usize..=5,
+        inner in 1usize..=2,
+        tile_mult in 1usize..3,
+        doubling in any::<bool>(),
+        seed in 0u64..256,
+    ) {
+        let h = lattice("chain:600", MatrixFormat::Csr);
+        let op = RescaledOp::new(h, 0.0, 3.0);
+        let recursion = if doubling { Recursion::Doubling } else { Recursion::Plain };
+        let params = KpmParams::new(20)
+            .with_random_vectors(r_per_s, sets)
+            .with_seed(seed)
+            .with_recursion(recursion);
+        let total = params.total_realizations();
+        let (a, b) = (cut.0 % total, cut.1 % total);
+        let range = a.min(b)..a.max(b) + 1;
+        let tile_rows = tile_mult * kpm_linalg::DEFAULT_TILE_ROWS;
+
+        let run = |plan| {
+            kpm::moments::per_realization_moments_with_plan(&op, &params, range.clone(), plan)
+        };
+        let rows = run(ExecPlan::Rows { threads: 1, tile_rows });
+        let hybrid = run(ExecPlan::Hybrid { outer, inner, tile_rows });
+        prop_assert_eq!(hybrid.len(), range.len());
+        prop_assert_eq!(hybrid, rows, "outer={} inner={} range={:?}", outer, inner, range);
+    }
+}
