@@ -14,14 +14,19 @@
 //! budget, the worker threads the engine actually spawns, and the host's
 //! core count — speedups should be judged against `cores`, while the
 //! fused-vs-split rows are meaningful even on one core.
+//!
+//! The criterion group also times one fused step per block width the plans
+//! produce — 14 and 7 (the per-thread column runs of Fig. 5's
+//! `Hybrid{2,1}` plan) and 2 (the narrowest serve-mix job) — on CSR, ELL,
+//! stencil and a dense 512 x 512 matrix (the mixes' `dense:512`).
 
 use criterion::{BenchmarkId, Criterion};
 use kpm::moments::block_vector_moments;
 use kpm::prelude::*;
 use kpm::random::fill_random_vector;
-use kpm_lattice::{Boundary, HypercubicLattice, OnSite, TightBinding};
+use kpm_lattice::{dense_random_symmetric, Boundary, HypercubicLattice, OnSite, TightBinding};
 use kpm_linalg::op::RescaledOp;
-use kpm_linalg::tiled::fused_block_moments_plain;
+use kpm_linalg::tiled::{fused_block_moments_plain, TiledOp};
 use kpm_linalg::{MatrixFormat, SparseMatrix, DEFAULT_TILE_ROWS};
 use std::hint::black_box;
 use std::time::Instant;
@@ -30,17 +35,38 @@ const SEED: u64 = 42;
 const R: usize = 14; // the paper's random vectors per set
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const POLICIES: [ExecPolicy; 3] = [ExecPolicy::Realizations, ExecPolicy::Rows, ExecPolicy::Hybrid];
+/// Block widths of the per-width fused-step benches (see the module docs).
+const STEP_WIDTHS: [usize; 3] = [2, 7, 14];
 
 fn cubic(l: usize) -> RescaledOp<SparseMatrix> {
+    cubic_format(l, MatrixFormat::Ell)
+}
+
+fn cubic_format(l: usize, format: MatrixFormat) -> RescaledOp<SparseMatrix> {
     let tb = TightBinding::new(
         HypercubicLattice::cubic(l, l, l, Boundary::Periodic),
         1.0,
         OnSite::Uniform(0.0),
     )
     .store_zero_diagonal(true);
-    let m = tb.build_format(MatrixFormat::Ell);
+    let m = tb.build_format(format);
     let bounds = m.spectral_bounds(BoundsMethod::Gershgorin).expect("bounds");
     rescale(m, bounds, 0.01).expect("rescale")
+}
+
+/// Benches `n - 1` fused plain steps at each of [`STEP_WIDTHS`], one thread.
+fn bench_fused_widths<A: TiledOp + Sync>(
+    group: &mut criterion::BenchmarkGroup,
+    name: &str,
+    op: &A,
+    n: usize,
+) {
+    for k in STEP_WIDTHS {
+        let block = start_block(op.dim(), k);
+        group.bench_function(format!("fused_step_{name}_k{k}"), |b| {
+            b.iter(|| black_box(fused_block_moments_plain(op, &block, k, n, 1, DEFAULT_TILE_ROWS)));
+        });
+    }
 }
 
 fn start_block(dim: usize, r: usize) -> Vec<f64> {
@@ -165,6 +191,14 @@ fn bench_exec_plans(c: &mut Criterion) {
     group.bench_function("fused_1thread", |b| {
         b.iter(|| black_box(fused_block_moments_plain(&op, &block, R, 256, 1, DEFAULT_TILE_ROWS)));
     });
+    for (name, format) in
+        [("csr", MatrixFormat::Csr), ("ell", MatrixFormat::Ell), ("stencil", MatrixFormat::Stencil)]
+    {
+        bench_fused_widths(&mut group, name, &cubic_format(10, format), 64);
+    }
+    let dense = dense_random_symmetric(512, 1.0, 7);
+    let bounds = dense.spectral_bounds(BoundsMethod::Gershgorin).expect("bounds");
+    bench_fused_widths(&mut group, "dense512", &rescale(dense, bounds, 0.01).expect("rescale"), 8);
     group.finish();
 }
 

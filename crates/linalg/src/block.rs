@@ -35,10 +35,10 @@ use crate::vecops;
 /// `(acc - a_plus * x[j * dim + i]) * inv_a_minus`.
 ///
 /// CSR, ELL and stencil all fuse the spectral shift-and-scale into their
-/// store step with this exact expression; the tiled engine reuses it for
-/// [`crate::tiled::TiledOp`] streaming on [`RescaledOp`]. Centralizing it
-/// pins the operation order (`sub` then `mul`) that the bitwise
-/// scalar-vs-blocked contracts depend on.
+/// store step with this exact expression, and the tiled engine applies the
+/// same one to each interleaved row ([`crate::tiled::TiledOp`] on
+/// [`RescaledOp`]). Centralizing it pins the operation order (`sub` then
+/// `mul`) that the bitwise scalar-vs-blocked contracts depend on.
 #[inline]
 pub fn rescaled_store(
     x: &[f64],

@@ -211,29 +211,18 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.ncols * k, "spmm: x length");
         assert_eq!(y.len(), self.nrows * k, "spmm: y length");
         let nrows = self.nrows;
-        self.spmm_rows_sink(x, k, 0..nrows, &mut |acc, i, j| y[j * nrows + i] = f(acc, i, j));
+        self.spmm_rows_sink(x, k, &mut |acc, i, j| y[j * nrows + i] = f(acc, i, j));
     }
 
     // Columns are processed in register-blocked chunks of four so each
     // decoded (col, value) pair is reused across four accumulators; per
     // column the accumulation still runs over the row's entries in
     // ascending-column order, so results stay bitwise equal to `spmv`. The
-    // sink receives the raw accumulator per `(row, col)`; full-block callers
-    // store it (optionally through a rescale transform), the tiled engine
-    // fuses the Chebyshev update and dot accumulation in the same call.
-    //
-    // Contract relied on by `crate::tiled`: within `rows`, every `(i, j)` is
-    // visited exactly once, and per column the rows arrive in ascending
-    // order.
-    pub(crate) fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: std::ops::Range<usize>,
-        sink: &mut S,
-    ) {
+    // sink receives the raw accumulator per `(row, col)` and stores it,
+    // optionally through a rescale transform.
+    fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(&self, x: &[f64], k: usize, sink: &mut S) {
         const CHUNK: usize = 4;
-        for i in rows {
+        for i in 0..self.nrows {
             let seg = self.row_ptr[i]..self.row_ptr[i + 1];
             let cols = &self.col_idx[seg.clone()];
             let vals = &self.values[seg];
@@ -259,6 +248,37 @@ impl CsrMatrix {
                 sink(acc, i, j);
                 j += 1;
             }
+        }
+    }
+
+    /// Row-range kernel of the tiled engine over a row-interleaved block
+    /// (`x[c * k + j]` is column `j` of input row `c`): for each row `i` of
+    /// `rows`, ascending, sums the row's entries in ascending-column order
+    /// into `W` register accumulators, one per column `c0..c0 + W`, and
+    /// hands them to `sink`. Each stored entry gathers one contiguous
+    /// `W`-wide run of `x`; per column the sum is the `spmv` sum, bit for
+    /// bit.
+    pub(crate) fn rows_interleaved<const W: usize, S: FnMut(usize, [f64; W])>(
+        &self,
+        x: &[f64],
+        k: usize,
+        c0: usize,
+        rows: std::ops::Range<usize>,
+        sink: &mut S,
+    ) {
+        crate::tiled::check_block::<W>(x, self.ncols, k, c0);
+        for i in rows {
+            let seg = self.row_ptr[i]..self.row_ptr[i + 1];
+            let mut h = [0.0f64; W];
+            for (&c, &v) in self.col_idx[seg.clone()].iter().zip(&self.values[seg]) {
+                // Safety: `c < ncols` (validated by `from_raw`) and
+                // `check_block`.
+                let xr = unsafe { crate::tiled::lanes_unchecked::<W>(x, c * k + c0) };
+                for (a, &xv) in h.iter_mut().zip(xr) {
+                    *a += v * xv;
+                }
+            }
+            sink(i, h);
         }
     }
 

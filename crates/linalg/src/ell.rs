@@ -167,22 +167,15 @@ impl EllMatrix {
         assert_eq!(x.len(), self.ncols * k, "spmm: x length");
         assert_eq!(y.len(), self.nrows * k, "spmm: y length");
         let n = self.nrows;
-        self.spmm_rows_sink(x, k, 0..n, &mut |acc, i, j| y[j * n + i] = f(acc, i, j));
+        self.spmm_rows_sink(x, k, &mut |acc, i, j| y[j * n + i] = f(acc, i, j));
     }
 
-    // Row-range streaming core behind `spmm`/`spmm_rescaled` and the tiled
-    // engine. Same contract as `CsrMatrix::spmm_rows_sink`: each `(i, j)`
-    // with `i` in `rows` is emitted exactly once, rows ascending per column.
-    pub(crate) fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(
-        &self,
-        x: &[f64],
-        k: usize,
-        rows: std::ops::Range<usize>,
-        sink: &mut S,
-    ) {
+    // Streaming core behind `spmm`/`spmm_rescaled`: each `(i, j)` is
+    // emitted exactly once, rows ascending per column.
+    fn spmm_rows_sink<S: FnMut(f64, usize, usize)>(&self, x: &[f64], k: usize, sink: &mut S) {
         const CHUNK: usize = 4;
         let n = self.nrows;
-        for i in rows {
+        for i in 0..n {
             let len = self.row_len[i];
             let mut j = 0;
             while j + CHUNK <= k {
@@ -210,6 +203,36 @@ impl EllMatrix {
                 sink(acc, i, j);
                 j += 1;
             }
+        }
+    }
+
+    /// Row-range kernel of the tiled engine over a row-interleaved block;
+    /// same contract as `CsrMatrix::rows_interleaved`. Slots accumulate in
+    /// ascending order up to `row_len[i]`, so padding is never read.
+    pub(crate) fn rows_interleaved<const W: usize, S: FnMut(usize, [f64; W])>(
+        &self,
+        x: &[f64],
+        k: usize,
+        c0: usize,
+        rows: std::ops::Range<usize>,
+        sink: &mut S,
+    ) {
+        crate::tiled::check_block::<W>(x, self.ncols, k, c0);
+        let n = self.nrows;
+        for i in rows {
+            let mut h = [0.0f64; W];
+            for s in 0..self.row_len[i] {
+                let idx = s * n + i;
+                let v = self.values[idx];
+                // Safety: stored columns come from a validated CSR, so they
+                // are `< ncols`; plus `check_block`.
+                let xr =
+                    unsafe { crate::tiled::lanes_unchecked::<W>(x, self.col_idx[idx] * k + c0) };
+                for (a, &xv) in h.iter_mut().zip(xr) {
+                    *a += v * xv;
+                }
+            }
+            sink(i, h);
         }
     }
 

@@ -336,126 +336,168 @@ impl StencilOp {
         let n = self.onsite.len();
         assert_eq!(x.len(), n * k, "stencil spmm: x length");
         assert_eq!(y.len(), n * k, "stencil spmm: y length");
-        self.stream_rows(x, k, 0..n, &mut |acc, i, j| y[j * n + i] = f(acc, i, j));
+        let mut sink = |acc, i, j| y[j * n + i] = f(acc, i, j);
+        let mut cols = Vec::with_capacity(self.geometry.max_neighbors() + 1);
+        let t = -self.hopping;
+        self.walk_rows(0..n, |i, plan| {
+            let Some(plan) = plan else {
+                self.row_cols_into(i, &mut cols);
+                for j in 0..k {
+                    let base = j * n;
+                    let mut acc = 0.0;
+                    for &c in cols.iter() {
+                        acc += self.entry(i, c) * x[base + c];
+                    }
+                    sink(acc, i, j);
+                }
+                return;
+            };
+            // Below-diagonal hops, then the diagonal (when stored), then
+            // above-diagonal hops: the same ascending-column accumulation
+            // order as the generic path, with no per-entry branch in the hot
+            // loops. Columns run in register-blocked chunks of four so the
+            // offset decode and loop control amortize over four
+            // accumulators.
+            const CHUNK: usize = 4;
+            let diag = if self.diagonal_stored(i) { Some(self.onsite[i]) } else { None };
+            let mut j = 0;
+            while j + CHUNK <= k {
+                let mut acc = [0.0f64; CHUNK];
+                let p0 = (j * n + i) as isize;
+                let stride = n as isize;
+                for &off in &plan.neg {
+                    for (u, a) in acc.iter_mut().enumerate() {
+                        *a += t * x[(p0 + u as isize * stride + off) as usize];
+                    }
+                }
+                if let Some(d) = diag {
+                    for (u, a) in acc.iter_mut().enumerate() {
+                        *a += d * x[(j + u) * n + i];
+                    }
+                }
+                for &off in &plan.pos {
+                    for (u, a) in acc.iter_mut().enumerate() {
+                        *a += t * x[(p0 + u as isize * stride + off) as usize];
+                    }
+                }
+                for (u, &a) in acc.iter().enumerate() {
+                    sink(a, i, j + u);
+                }
+                j += CHUNK;
+            }
+            while j < k {
+                let base = j * n;
+                let p = (base + i) as isize;
+                let mut acc = 0.0;
+                for &off in &plan.neg {
+                    acc += t * x[(p + off) as usize];
+                }
+                if let Some(d) = diag {
+                    acc += d * x[base + i];
+                }
+                for &off in &plan.pos {
+                    acc += t * x[(p + off) as usize];
+                }
+                sink(acc, i, j);
+                j += 1;
+            }
+        });
     }
 
-    /// Row-range streaming core behind [`StencilOp::spmm_into`] and the
-    /// tiled engine. Same contract as `CsrMatrix::spmm_rows_sink`: each
-    /// `(i, j)` with `i` in `rows` is emitted exactly once, rows ascending
-    /// per column, with per-element values bitwise identical to the
-    /// full-matrix sweep (the odometer is seeded at `rows.start` with one
-    /// div/mod chain and then walks exactly as the full sweep would).
-    pub(crate) fn stream_rows<S: FnMut(f64, usize, usize)>(
+    /// Row-range kernel of the tiled engine over a row-interleaved block
+    /// (`x[c * k + j]` is column `j` of input row `c`); same contract as
+    /// `CsrMatrix::rows_interleaved`. Interior rows add the offset pattern
+    /// scaled by `k`, so each neighbour is one contiguous `W`-wide run of
+    /// `x`; boundary and honeycomb rows regenerate their sorted column set.
+    /// Either way the per-column sum is the full sweep's, bit for bit.
+    pub(crate) fn rows_interleaved<const W: usize, S: FnMut(usize, [f64; W])>(
         &self,
         x: &[f64],
         k: usize,
+        c0: usize,
         rows: std::ops::Range<usize>,
         sink: &mut S,
     ) {
         let n = self.onsite.len();
+        crate::tiled::check_block::<W>(x, n, k, c0);
+        assert!(rows.end <= n, "rows_interleaved: rows {rows:?} of {n}");
         let mut cols = Vec::with_capacity(self.geometry.max_neighbors() + 1);
-        if let (StencilGeometry::Hypercubic { dims, .. }, Some(plan)) = (&self.geometry, &self.plan)
-        {
-            let ndim = dims.len();
-            let mut coords = [0usize; 8];
-            let mut rem = rows.start;
-            for (d, &l) in dims.iter().enumerate() {
-                coords[d] = rem % l;
-                rem /= l;
-            }
-            for i in rows {
-                let interior =
-                    dims.iter().zip(&coords).all(|(&l, &c)| l == 1 || (c >= 1 && c + 2 <= l));
-                if interior {
-                    // Below-diagonal hops, then the diagonal (when stored),
-                    // then above-diagonal hops: the same ascending-column
-                    // accumulation order as the generic path, with no
-                    // per-entry branch in the hot loops. Columns run in
-                    // register-blocked chunks of four so the offset decode
-                    // and loop control amortize over four accumulators.
-                    const CHUNK: usize = 4;
-                    let t = -self.hopping;
-                    let diag = if self.diagonal_stored(i) { Some(self.onsite[i]) } else { None };
-                    let mut j = 0;
-                    while j + CHUNK <= k {
-                        let mut acc = [0.0f64; CHUNK];
-                        let p0 = (j * n + i) as isize;
-                        let stride = n as isize;
-                        for &off in &plan.neg {
-                            for (u, a) in acc.iter_mut().enumerate() {
-                                *a += t * x[(p0 + u as isize * stride + off) as usize];
-                            }
-                        }
-                        if let Some(d) = diag {
-                            for (u, a) in acc.iter_mut().enumerate() {
-                                *a += d * x[(j + u) * n + i];
-                            }
-                        }
-                        for &off in &plan.pos {
-                            for (u, a) in acc.iter_mut().enumerate() {
-                                *a += t * x[(p0 + u as isize * stride + off) as usize];
-                            }
-                        }
-                        for (u, &a) in acc.iter().enumerate() {
-                            sink(a, i, j + u);
-                        }
-                        j += CHUNK;
-                    }
-                    while j < k {
-                        let base = j * n;
-                        let p = (base + i) as isize;
-                        let mut acc = 0.0;
-                        for &off in &plan.neg {
-                            acc += t * x[(p + off) as usize];
-                        }
-                        if let Some(d) = diag {
-                            acc += d * x[base + i];
-                        }
-                        for &off in &plan.pos {
-                            acc += t * x[(p + off) as usize];
-                        }
-                        sink(acc, i, j);
-                        j += 1;
-                    }
-                } else {
-                    self.row_generic_sink(i, x, k, &mut cols, sink);
+        let t = -self.hopping;
+        let ki = k as isize;
+        self.walk_rows(rows, |i, plan| {
+            let mut h = [0.0f64; W];
+            let mut add = |v: f64, at: usize| {
+                // Safety: `at` is `c * k + c0` for a site `c < n` — interior
+                // offsets only apply where every hop stays inside the
+                // lattice, and boundary rows generate their sites — plus
+                // `check_block`.
+                let xr = unsafe { crate::tiled::lanes_unchecked::<W>(x, at) };
+                for (a, &xv) in h.iter_mut().zip(xr) {
+                    *a += v * xv;
                 }
-                // Odometer increment: the first dimension varies fastest,
-                // matching the row-major site indexing.
-                for d in 0..ndim {
-                    coords[d] += 1;
-                    if coords[d] < dims[d] {
-                        break;
+            };
+            match plan {
+                Some(plan) => {
+                    let base = (i * k + c0) as isize;
+                    for &off in &plan.neg {
+                        add(t, (base + off * ki) as usize);
                     }
-                    coords[d] = 0;
+                    if self.diagonal_stored(i) {
+                        add(self.onsite[i], i * k + c0);
+                    }
+                    for &off in &plan.pos {
+                        add(t, (base + off * ki) as usize);
+                    }
+                }
+                None => {
+                    self.row_cols_into(i, &mut cols);
+                    for &c in &cols {
+                        add(self.entry(i, c), c * k + c0);
+                    }
                 }
             }
-        } else {
-            for i in rows {
-                self.row_generic_sink(i, x, k, &mut cols, sink);
-            }
-        }
+            sink(i, h);
+        });
     }
 
-    /// One generic (boundary / honeycomb) row of the SpMM kernel.
+    /// Visits `rows` in ascending order, passing the interior offset plan
+    /// for rows where it applies and `None` for boundary rows and the
+    /// honeycomb geometry. The odometer is seeded at `rows.start` with one
+    /// div/mod chain and then walks exactly as a full sweep would, so a row
+    /// range gets the same per-row path as the full matrix.
     #[inline]
-    fn row_generic_sink<S: FnMut(f64, usize, usize)>(
+    fn walk_rows(
         &self,
-        i: usize,
-        x: &[f64],
-        k: usize,
-        cols: &mut Vec<usize>,
-        sink: &mut S,
+        rows: std::ops::Range<usize>,
+        mut visit: impl FnMut(usize, Option<&InteriorPlan>),
     ) {
-        let n = self.onsite.len();
-        self.row_cols_into(i, cols);
-        for j in 0..k {
-            let base = j * n;
-            let mut acc = 0.0;
-            for &c in cols.iter() {
-                acc += self.entry(i, c) * x[base + c];
+        let (StencilGeometry::Hypercubic { dims, .. }, Some(plan)) = (&self.geometry, &self.plan)
+        else {
+            for i in rows {
+                visit(i, None);
             }
-            sink(acc, i, j);
+            return;
+        };
+        let ndim = dims.len();
+        let mut coords = [0usize; 8];
+        let mut rem = rows.start;
+        for (d, &l) in dims.iter().enumerate() {
+            coords[d] = rem % l;
+            rem /= l;
+        }
+        for i in rows {
+            let interior =
+                dims.iter().zip(&coords).all(|(&l, &c)| l == 1 || (c >= 1 && c + 2 <= l));
+            visit(i, interior.then_some(plan));
+            // Odometer increment: the first dimension varies fastest,
+            // matching the row-major site indexing.
+            for d in 0..ndim {
+                coords[d] += 1;
+                if coords[d] < dims[d] {
+                    break;
+                }
+                coords[d] = 0;
+            }
         }
     }
 }

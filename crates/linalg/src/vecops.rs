@@ -196,81 +196,6 @@ pub fn chebyshev_combine_dot(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// In-place spectral rescale of a streamed product segment:
-/// `h[i] = (h[i] - a_plus * x[i]) * inv_a_minus`.
-///
-/// Element-for-element the same expression as the store transform fused into
-/// the format kernels (`block::rescaled_store`), so applying it to raw
-/// streamed values yields bitwise-identical results to streaming rescaled
-/// values — just vectorized over a contiguous slice instead of scalar
-/// per-element inside a sink.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn rescale_inplace(h: &mut [f64], x: &[f64], a_plus: f64, inv_a_minus: f64) {
-    assert_eq!(h.len(), x.len(), "rescale_inplace: length mismatch");
-    for (hv, &xv) in h.iter_mut().zip(x) {
-        *hv = (*hv - a_plus * xv) * inv_a_minus;
-    }
-}
-
-/// [`rescale_inplace`] fused with [`chebyshev_combine_dot`], reading the raw
-/// streamed product instead of pre-rescaled values:
-/// `prev[i] = 2 * ((hx[i] - a_plus * x[i]) * inv_a_minus) - prev[i]`, returns
-/// `dot(r0, prev_new)`.
-///
-/// One pass over the tile instead of rescale-then-combine; bitwise identical
-/// to `rescale_inplace(hx, x, ..); chebyshev_combine_dot(hx, prev, r0)`
-/// because the per-element expressions and the four-way reduction order are
-/// unchanged.
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn rescaled_chebyshev_combine_dot(
-    hx: &[f64],
-    x: &[f64],
-    prev: &mut [f64],
-    r0: &[f64],
-    a_plus: f64,
-    inv_a_minus: f64,
-) -> f64 {
-    assert_eq!(hx.len(), prev.len(), "rescaled_chebyshev_combine_dot: length mismatch");
-    assert_eq!(x.len(), prev.len(), "rescaled_chebyshev_combine_dot: length mismatch");
-    assert_eq!(r0.len(), prev.len(), "rescaled_chebyshev_combine_dot: length mismatch");
-    let mut acc = [0.0f64; 4];
-    let split = prev.len() - prev.len() % 4;
-    let (pc, pr) = prev.split_at_mut(split);
-    let (hc, hr) = hx.split_at(split);
-    let (xc, xr) = x.split_at(split);
-    let (rc, rr) = r0.split_at(split);
-    for (((ps, hs), xs), rs) in pc
-        .chunks_exact_mut(4)
-        .zip(hc.chunks_exact(4))
-        .zip(xc.chunks_exact(4))
-        .zip(rc.chunks_exact(4))
-    {
-        ps[0] = 2.0 * ((hs[0] - a_plus * xs[0]) * inv_a_minus) - ps[0];
-        ps[1] = 2.0 * ((hs[1] - a_plus * xs[1]) * inv_a_minus) - ps[1];
-        ps[2] = 2.0 * ((hs[2] - a_plus * xs[2]) * inv_a_minus) - ps[2];
-        ps[3] = 2.0 * ((hs[3] - a_plus * xs[3]) * inv_a_minus) - ps[3];
-        acc[0] += rs[0] * ps[0];
-        acc[1] += rs[1] * ps[1];
-        acc[2] += rs[2] * ps[2];
-        acc[3] += rs[3] * ps[3];
-    }
-    let tail: f64 = rr
-        .iter()
-        .zip(pr.iter_mut())
-        .zip(hr.iter().zip(xr))
-        .map(|((&r, p), (&h, &xv))| {
-            *p = 2.0 * ((h - a_plus * xv) * inv_a_minus) - *p;
-            r * *p
-        })
-        .sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
 /// Accumulator width of the fused combine-and-dot kernels.
 ///
 /// `Unrolled4` is the historical default: four partial sums reduced as
@@ -376,52 +301,6 @@ pub fn chebyshev_combine_dot8(hx: &[f64], prev: &mut [f64], r0: &[f64]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
-/// Eight-way unrolled [`rescaled_chebyshev_combine_dot`]; same contract as
-/// [`chebyshev_combine_dot8`] (identical stores, differently associated
-/// dot).
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-pub fn rescaled_chebyshev_combine_dot8(
-    hx: &[f64],
-    x: &[f64],
-    prev: &mut [f64],
-    r0: &[f64],
-    a_plus: f64,
-    inv_a_minus: f64,
-) -> f64 {
-    assert_eq!(hx.len(), prev.len(), "rescaled_chebyshev_combine_dot8: length mismatch");
-    assert_eq!(x.len(), prev.len(), "rescaled_chebyshev_combine_dot8: length mismatch");
-    assert_eq!(r0.len(), prev.len(), "rescaled_chebyshev_combine_dot8: length mismatch");
-    let mut acc = [0.0f64; 8];
-    let split = prev.len() - prev.len() % 8;
-    let (pc, pr) = prev.split_at_mut(split);
-    let (hc, hr) = hx.split_at(split);
-    let (xc, xr) = x.split_at(split);
-    let (rc, rr) = r0.split_at(split);
-    for (((ps, hs), xs), rs) in pc
-        .chunks_exact_mut(8)
-        .zip(hc.chunks_exact(8))
-        .zip(xc.chunks_exact(8))
-        .zip(rc.chunks_exact(8))
-    {
-        for lane in 0..8 {
-            ps[lane] = 2.0 * ((hs[lane] - a_plus * xs[lane]) * inv_a_minus) - ps[lane];
-            acc[lane] += rs[lane] * ps[lane];
-        }
-    }
-    let tail: f64 = rr
-        .iter()
-        .zip(pr.iter_mut())
-        .zip(hr.iter().zip(xr))
-        .map(|((&r, p), (&h, &xv))| {
-            *p = 2.0 * ((h - a_plus * xv) * inv_a_minus) - *p;
-            r * *p
-        })
-        .sum();
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
 /// Variant-dispatched [`chebyshev_combine_dot`].
 #[inline]
 pub fn chebyshev_combine_dot_variant(
@@ -433,48 +312,6 @@ pub fn chebyshev_combine_dot_variant(
     match variant {
         KernelVariant::Unrolled4 => chebyshev_combine_dot(hx, prev, r0),
         KernelVariant::Unrolled8 => chebyshev_combine_dot8(hx, prev, r0),
-    }
-}
-
-/// Variant-dispatched [`rescaled_chebyshev_combine_dot`].
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn rescaled_chebyshev_combine_dot_variant(
-    variant: KernelVariant,
-    hx: &[f64],
-    x: &[f64],
-    prev: &mut [f64],
-    r0: &[f64],
-    a_plus: f64,
-    inv_a_minus: f64,
-) -> f64 {
-    match variant {
-        KernelVariant::Unrolled4 => {
-            rescaled_chebyshev_combine_dot(hx, x, prev, r0, a_plus, inv_a_minus)
-        }
-        KernelVariant::Unrolled8 => {
-            rescaled_chebyshev_combine_dot8(hx, x, prev, r0, a_plus, inv_a_minus)
-        }
-    }
-}
-
-/// [`rescale_inplace`] fused with [`chebyshev_combine_inplace`]:
-/// `prev[i] = 2 * ((hx[i] - a_plus * x[i]) * inv_a_minus) - prev[i]`.
-///
-/// # Panics
-/// Panics on length mismatch.
-#[inline]
-pub fn rescaled_chebyshev_combine_inplace(
-    hx: &[f64],
-    x: &[f64],
-    prev: &mut [f64],
-    a_plus: f64,
-    inv_a_minus: f64,
-) {
-    assert_eq!(hx.len(), prev.len(), "rescaled_chebyshev_combine_inplace: length mismatch");
-    assert_eq!(x.len(), prev.len(), "rescaled_chebyshev_combine_inplace: length mismatch");
-    for ((p, &h), &xv) in prev.iter_mut().zip(hx).zip(x) {
-        *p = 2.0 * ((h - a_plus * xv) * inv_a_minus) - *p;
     }
 }
 
@@ -526,7 +363,6 @@ mod tests {
         // associates differently). Lengths cover every residue class mod 8.
         for n in (0..18usize).chain([128, 263]) {
             let hx: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.3).collect();
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).cos()).collect();
             let r0: Vec<f64> = (0..n).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect();
             let base: Vec<f64> = (0..n).map(|i| 0.1 * i as f64 - 0.4).collect();
 
@@ -534,13 +370,6 @@ mod tests {
             let mu4 = chebyshev_combine_dot(&hx, &mut p4, &r0);
             let mu8 = chebyshev_combine_dot8(&hx, &mut p8, &r0);
             assert_eq!(p4, p8, "combine stores must be bitwise identical, n = {n}");
-            let scale = mu4.abs().max(1.0);
-            assert!((mu8 - mu4).abs() <= 1e-12 * scale, "n = {n}: {mu8} vs {mu4}");
-
-            let (mut p4, mut p8) = (base.clone(), base.clone());
-            let mu4 = rescaled_chebyshev_combine_dot(&hx, &x, &mut p4, &r0, 0.2, 0.5);
-            let mu8 = rescaled_chebyshev_combine_dot8(&hx, &x, &mut p8, &r0, 0.2, 0.5);
-            assert_eq!(p4, p8, "rescaled stores must be bitwise identical, n = {n}");
             let scale = mu4.abs().max(1.0);
             assert!((mu8 - mu4).abs() <= 1e-12 * scale, "n = {n}: {mu8} vs {mu4}");
         }

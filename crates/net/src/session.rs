@@ -151,12 +151,12 @@ fn release(registry: &Registry, session_id: u64, stream: &str, seq: u64, frame: 
     else {
         return; // client disconnected; drop the frame
     };
-    let released = {
-        let mut streams = session.streams.lock().expect("streams lock");
-        let Some(fifo) = streams.get_mut(stream) else { return };
-        fifo.complete(seq, frame)
-    };
-    for frame in released {
+    // Send while holding the stream's lock: two workers releasing
+    // consecutive seqs must also enqueue them in that order (the channel
+    // send does not block).
+    let mut streams = session.streams.lock().expect("streams lock");
+    let Some(fifo) = streams.get_mut(stream) else { return };
+    for frame in fifo.complete(seq, frame) {
         session.inflight.fetch_sub(1, Ordering::SeqCst);
         registry.metrics.jobs_inflight.dec();
         registry.metrics.jobs_delivered.inc();

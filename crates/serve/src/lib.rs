@@ -103,7 +103,9 @@ pub struct JobSuccess {
     /// Energy of the DoS maximum.
     pub peak_energy: f64,
     /// The raw moments behind the reconstruction (bitwise comparable to a
-    /// one-shot run with the same spec).
+    /// one-shot run with the same spec). A service started with a
+    /// [`CompletionHook`] hands them to the hook and keeps empty `mean` and
+    /// `std_err` in its report.
     pub moments: kpm::MomentStats,
     /// Rescaling centre the moments were computed with — carried so a
     /// remote consumer can reconstruct on the original energy axis.
@@ -251,7 +253,7 @@ impl BatchReport {
 
 /// Callback invoked by a worker thread the moment a job reaches a terminal
 /// state (completed or failed), before the record lands in the final
-/// report. This is the delivery path for asynchronous front-ends (the net
+/// report without its moments. This is the delivery path for asynchronous front-ends (the net
 /// server pushes completion frames from it), so implementations must not
 /// block: hand the record off to a queue or channel and return.
 pub type CompletionHook = Arc<dyn Fn(&JobRecord) + Send + Sync>;
@@ -633,6 +635,28 @@ mod tests {
             })
             .unwrap();
         assert!(success.a_minus > 0.0, "rescale half-width travels with the record");
+    }
+
+    #[test]
+    fn hooked_service_report_keeps_the_summary_but_not_the_moments() {
+        use std::sync::Mutex;
+        let delivered: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&delivered);
+        let service = BatchService::start_full(
+            BatchConfig { workers: 1, ..quick_config() },
+            None,
+            Some(Arc::new(move |record: &JobRecord| {
+                if let JobOutcome::Completed(s) = &record.outcome {
+                    sink.lock().unwrap().push(s.moments.mean.len());
+                }
+            })),
+        );
+        service.submit(job("lattice=chain:16 moments=16 random=1 sets=1")).unwrap();
+        let report = service.finish();
+        assert_eq!(*delivered.lock().unwrap(), vec![16], "the hook gets the moments");
+        let JobOutcome::Completed(s) = &report.records[0].outcome else { panic!("completed") };
+        assert_eq!((s.num_moments, s.moments.mean.len(), s.moments.std_err.len()), (16, 0, 0));
+        assert!((s.integral - 1.0).abs() < 1e-2, "summary kept: {}", report.render());
     }
 
     #[test]

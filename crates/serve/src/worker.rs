@@ -87,7 +87,7 @@ pub(crate) fn run_worker(ctx: Arc<WorkerContext>) {
     while let Some(job) = ctx.queue.pop() {
         ctx.metrics.queue_wait.record(job.enqueued.elapsed());
         let busy_start = Instant::now();
-        let record = {
+        let mut record = {
             let _span = if kpm_obs::enabled() {
                 kpm_obs::span_labeled("serve.job", &job.spec.canonical())
             } else {
@@ -106,6 +106,13 @@ pub(crate) fn run_worker(ctx: Arc<WorkerContext>) {
         // is non-blocking handoff.
         if let Some(hook) = &ctx.on_complete {
             hook(&record);
+            // The hook has delivered the moments and the report renders
+            // only the summary: a long-running front-end must not hold
+            // every job's moments, or its memory grows with each job.
+            if let JobOutcome::Completed(s) = &mut record.outcome {
+                s.moments.mean = Vec::new();
+                s.moments.std_err = Vec::new();
+            }
         }
         ctx.results.lock().expect("results lock").insert(job.id, record);
     }
