@@ -8,7 +8,9 @@
 //! coordinator — fixed deterministic shard plan, canonical-order merge,
 //! heartbeat death detection, backoff reassignment, speculative duplicates
 //! — so every job's moments stay bitwise identical to a single-process
-//! run. What the fleet adds across jobs:
+//! run. The drive thread's per-event work is O(live jobs): finished jobs
+//! leave the job table, the journal image and every worker's announce set.
+//! What the fleet adds across jobs:
 //!
 //! - **Locality-aware routing**: each worker's warm state (advertised via
 //!   [`Frame::InventoryQuery`] at join, then tracked incrementally from
@@ -23,13 +25,16 @@
 //! - **Restartable merges**: accepted rows are journaled (fsync) *before*
 //!   they count ([`crate::journal`]); a restarted scheduler pre-fills
 //!   shards from the replayed journal and resumes without recomputing.
+//!   The in-memory image holds only replayed rows and rows of unfinished
+//!   jobs; a finished job's duplicate is served by the workers' bounded
+//!   inventories through warm-row placement instead.
 
 use crate::error::FleetError;
 use crate::journal::{Journal, Replayed};
 use kpm_shard::transport::Endpoint;
 use kpm_shard::wire::{Frame, RowRun};
 use kpm_shard::{MergedMoments, ShardJob};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
@@ -44,12 +49,14 @@ const EVENT_POLL: Duration = Duration::from_millis(20);
 /// worker the locality score preferred.
 const STEAL_DEPTH: usize = 2;
 
-/// Scheduling knobs. The shard-plan shape (`shards_per_job`) is fixed per
-/// policy — independent of the worker count — so a restarted fleet
+/// Scheduling knobs. The shard plan depends only on the job and
+/// `shards_per_job` — not on the worker count — so a restarted fleet
 /// produces the same shard ranges and journal replay aligns exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetPolicy {
-    /// Shards each job is split into (bounded by the job's unit count).
+    /// Upper bound on the shards a job is cut into. Shards are runs of
+    /// whole realization sets ([`kpm::shard_plan`]), so a one-set job with
+    /// the paper's `R = 14` runs as one shard whatever the bound.
     pub shards_per_job: usize,
     /// How often every live worker is pinged.
     pub heartbeat_interval: Duration,
@@ -286,13 +293,48 @@ struct WorkerSt {
     joined_at: Instant,
     /// `(job seq, shard)` pairs dispatched and unanswered.
     inflight: Vec<(u32, u32)>,
-    /// Job seqs whose spec line this connection has received.
+    /// Live job seqs whose spec line this connection has received.
     announced: HashSet<u32>,
     /// Warm-state model: advertised at join, then updated from results.
     inv_seen: bool,
     inv_ops: HashSet<u64>,
-    inv_rows: Vec<RowRun>,
+    /// Coalesced runs of cached rows, oldest first, covering at most
+    /// [`ROW_MODEL_CAP`] rows (the worker evicts oldest-first too).
+    inv_rows: VecDeque<RowRun>,
     inv_tuned: bool,
+}
+
+/// Rows the warm-state model tracks per worker: the worker's default
+/// inventory bound, past which its oldest rows are gone anyway.
+const ROW_MODEL_CAP: u64 = kpm_shard::inventory::DEFAULT_ROW_CAP as u64;
+
+impl WorkerSt {
+    /// Records that the worker now holds `run`, merging it into an
+    /// abutting run of the same row family and length and dropping the
+    /// oldest runs past [`ROW_MODEL_CAP`] rows.
+    fn note_rows(&mut self, run: RowRun) {
+        let covered = |r: &RowRun| {
+            r.key == run.key && r.n >= run.n && r.start <= run.start && r.end >= run.end
+        };
+        if self.inv_rows.iter().any(covered) {
+            return;
+        }
+        let abuts = |r: &&mut RowRun| {
+            r.key == run.key && r.n == run.n && (r.end == run.start || r.start == run.end)
+        };
+        match self.inv_rows.iter_mut().find(abuts) {
+            Some(r) => {
+                r.start = r.start.min(run.start);
+                r.end = r.end.max(run.end);
+            }
+            None => self.inv_rows.push_back(run),
+        }
+        let mut held: u64 = self.inv_rows.iter().map(|r| r.end - r.start).sum();
+        while held > ROW_MODEL_CAP {
+            let old = self.inv_rows.pop_front().expect("rows held");
+            held -= old.end - old.start;
+        }
+    }
 }
 
 struct ShardSt {
@@ -317,7 +359,6 @@ struct JobSt {
     shards: Vec<ShardSt>,
     done: usize,
     reply: Option<Sender<Result<MergedMoments, FleetError>>>,
-    finished: bool,
 }
 
 enum Flow {
@@ -332,12 +373,15 @@ struct Scheduler {
     policy: FleetPolicy,
     journal: Option<Journal>,
     /// In-memory journal image: job hash → idx → row. Seeded from replay,
-    /// extended by every accepted result — pre-fills restarted *and*
-    /// duplicate jobs.
+    /// extended by accepted results of unfinished jobs — pre-fills a
+    /// restarted job and a duplicate submitted while the first still runs.
+    /// A job's entry goes when the job completes or fails.
     journaled: HashMap<u64, HashMap<u64, Vec<f64>>>,
     recorded_jobs: HashSet<u64>,
     workers: Vec<WorkerSt>,
-    jobs: Vec<JobSt>,
+    /// Unfinished jobs by seq; a job leaves when it completes or fails.
+    jobs: BTreeMap<usize, JobSt>,
+    next_seq: usize,
     ev_tx: Sender<Event>,
     stats: FleetStats,
     nonce: u64,
@@ -359,7 +403,8 @@ impl Scheduler {
             journaled: replayed.rows,
             recorded_jobs: replayed.jobs.keys().copied().collect(),
             workers: Vec::new(),
-            jobs: Vec::new(),
+            jobs: BTreeMap::new(),
+            next_seq: 0,
             ev_tx,
             stats,
             nonce: 0,
@@ -368,7 +413,7 @@ impl Scheduler {
         }
     }
 
-    fn drive(mut self, events: &Receiver<Event>) {
+    fn drive(&mut self, events: &Receiver<Event>) {
         let mut last_ping = Instant::now();
         loop {
             let now = Instant::now();
@@ -454,22 +499,20 @@ impl Scheduler {
                     Frame::Inventory(report) => {
                         let w = &mut self.workers[i];
                         w.inv_ops = report.ops.into_iter().collect();
-                        w.inv_rows = report.rows;
+                        w.inv_rows.clear();
+                        for run in report.rows {
+                            w.note_rows(run);
+                        }
                         w.inv_tuned = w.inv_tuned || !report.profiles.is_empty();
                         w.inv_seen = true;
                         Flow::Continue
                     }
                     Frame::Result(res) => self.accept_result(i, res),
                     Frame::WorkerError { job, shard, message } => {
-                        let seq = job as usize;
-                        if seq < self.jobs.len() {
-                            self.fail_job(
-                                seq,
-                                FleetError::Shard(format!(
-                                    "worker failed shard {shard}: {message}"
-                                )),
-                            );
-                        }
+                        self.fail_job(
+                            job as usize,
+                            FleetError::Shard(format!("worker failed shard {shard}: {message}")),
+                        );
                         Flow::Continue
                     }
                     _ => Flow::Continue,
@@ -492,7 +535,7 @@ impl Scheduler {
             announced: HashSet::new(),
             inv_seen: false,
             inv_ops: HashSet::new(),
-            inv_rows: Vec::new(),
+            inv_rows: VecDeque::new(),
             inv_tuned: false,
         });
         self.stats.workers_joined += 1;
@@ -532,8 +575,6 @@ impl Scheduler {
         };
         let canonical = job.canonical();
         let hash = kpm::tune::fnv1a(canonical.as_bytes());
-        let total = job.total_units();
-        let num_shards = total.min(self.policy.shards_per_job.max(1)).max(1);
         let now = Instant::now();
         let need = job.moment_len();
         if let (Some(journal), false) = (self.journal.as_mut(), self.recorded_jobs.contains(&hash))
@@ -544,7 +585,8 @@ impl Scheduler {
             }
             self.recorded_jobs.insert(hash);
         }
-        let mut shards: Vec<ShardSt> = kpm::shard_plan(total, num_shards)
+        let mut shards: Vec<ShardSt> = job
+            .shard_plan(self.policy.shards_per_job)
             .into_iter()
             .map(|range| ShardSt {
                 range,
@@ -556,8 +598,8 @@ impl Scheduler {
             })
             .collect();
         // Pre-fill from the journal image: rows this hash already has —
-        // replayed from a previous scheduler, or journaled moments ago for
-        // a duplicate submission.
+        // replayed from a previous scheduler, or accepted moments ago for a
+        // duplicate of a job that is still running.
         let mut done = 0;
         if let Some(rows) = self.journaled.get(&hash) {
             for s in &mut shards {
@@ -574,29 +616,45 @@ impl Scheduler {
                 }
             }
         }
-        let seq = self.jobs.len();
-        self.jobs.push(JobSt {
-            op_key: job.op_key(),
-            row_key: job.row_key(),
-            prefix: job.prefix_extendable(),
-            line: canonical,
-            job,
-            hash,
-            need,
-            shards,
-            done,
-            reply: Some(reply),
-            finished: false,
-        });
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let complete = done == shards.len();
+        self.jobs.insert(
+            seq,
+            JobSt {
+                op_key: job.op_key(),
+                row_key: job.row_key(),
+                prefix: job.prefix_extendable(),
+                line: canonical,
+                job,
+                hash,
+                need,
+                shards,
+                done,
+                reply: Some(reply),
+            },
+        );
         kpm_obs::counter_add("fleet.jobs.submitted", 1);
-        if self.jobs[seq].done == self.jobs[seq].shards.len() {
+        if complete {
             self.complete_job(seq);
         }
     }
 
+    /// Takes a finished job out of every per-job table: the job map, the
+    /// journal image, and the workers' announce sets. In-flight duplicates
+    /// of its shards stay listed until their results arrive and are
+    /// dropped as stale.
+    fn retire(&mut self, seq: usize) -> Option<JobSt> {
+        let j = self.jobs.remove(&seq)?;
+        self.journaled.remove(&j.hash);
+        for w in &mut self.workers {
+            w.announced.remove(&(seq as u32));
+        }
+        Some(j)
+    }
+
     fn complete_job(&mut self, seq: usize) {
-        let j = &mut self.jobs[seq];
-        j.finished = true;
+        let Some(mut j) = self.retire(seq) else { return };
         let rows: Vec<Vec<f64>> =
             j.shards.iter_mut().flat_map(|s| s.rows.take().expect("all shards done")).collect();
         let result = j.job.merge(&rows).map_err(FleetError::from);
@@ -613,11 +671,7 @@ impl Scheduler {
     }
 
     fn fail_job(&mut self, seq: usize, err: FleetError) {
-        let j = &mut self.jobs[seq];
-        if j.finished {
-            return;
-        }
-        j.finished = true;
+        let Some(mut j) = self.retire(seq) else { return };
         self.stats.jobs_failed += 1;
         kpm_obs::counter_add("fleet.jobs.failed", 1);
         if let Some(reply) = j.reply.take() {
@@ -633,9 +687,9 @@ impl Scheduler {
         self.workers[i]
             .inflight
             .retain(|&(job, shard)| (job, shard) != (res.job as u32, res.shard));
-        let Some(j) = self.jobs.get_mut(seq) else { return Flow::Continue };
+        let Some(j) = self.jobs.get_mut(&seq) else { return Flow::Continue };
         let k = res.shard as usize;
-        if j.finished || k >= j.shards.len() || j.shards[k].rows.is_some() {
+        if k >= j.shards.len() || j.shards[k].rows.is_some() {
             return Flow::Continue; // duplicate, speculative loser, or stale
         }
         let want_rows = j.shards[k].range.len();
@@ -649,7 +703,7 @@ impl Scheduler {
         }
         // Journal before ack: the shard only counts once its rows are
         // durable, which is what makes a coordinator restart resumable.
-        let j = &mut self.jobs[seq];
+        let j = self.jobs.get_mut(&seq).expect("live job");
         let start = j.shards[k].range.start as u64;
         if let Some(journal) = self.journal.as_mut() {
             if let Err(e) = journal.record_rows(j.hash, start, &res.rows) {
@@ -668,8 +722,8 @@ impl Scheduler {
         let end = j.shards[k].range.end as u64;
         let w = &mut self.workers[i];
         w.inv_ops.insert(op_key);
-        w.inv_rows.push(RowRun { key: row_key, start, end, n: need as u32 });
-        let j = &mut self.jobs[seq];
+        w.note_rows(RowRun { key: row_key, start, end, n: need as u32 });
+        let j = self.jobs.get_mut(&seq).expect("live job");
         j.shards[k].rows = Some(res.rows);
         j.shards[k].assigned.clear();
         j.done += 1;
@@ -693,7 +747,7 @@ impl Scheduler {
         kpm_obs::counter_add("fleet.workers.dead", 1);
         let lost = std::mem::take(&mut self.workers[i].inflight);
         for (job, shard) in lost {
-            let Some(j) = self.jobs.get_mut(job as usize) else { continue };
+            let Some(j) = self.jobs.get_mut(&(job as usize)) else { continue };
             let s = &mut j.shards[shard as usize];
             s.assigned.retain(|&w| w != i);
             if s.rows.is_none() && s.assigned.is_empty() {
@@ -709,9 +763,7 @@ impl Scheduler {
             self.all_dead_since = None;
             return;
         }
-        let pending: Vec<usize> =
-            (0..self.jobs.len()).filter(|&s| !self.jobs[s].finished).collect();
-        if pending.is_empty() {
+        if self.jobs.is_empty() {
             self.all_dead_since = None;
             return;
         }
@@ -719,8 +771,12 @@ impl Scheduler {
         if now.duration_since(since) < self.policy.no_worker_grace {
             return; // a worker may still join (or the fleet just started)
         }
-        for seq in pending {
-            let left = self.jobs[seq].shards.iter().filter(|s| s.rows.is_none()).count();
+        let pending: Vec<(usize, usize)> = self
+            .jobs
+            .iter()
+            .map(|(&seq, j)| (seq, j.shards.iter().filter(|s| s.rows.is_none()).count()))
+            .collect();
+        for (seq, left) in pending {
             self.fail_job(seq, FleetError::NoWorkers { pending: left });
         }
         self.all_dead_since = Some(now);
@@ -772,7 +828,7 @@ impl Scheduler {
         if !self.policy.locality {
             return Some(least);
         }
-        let job = &self.jobs[seq];
+        let job = &self.jobs[&seq];
         let best = *candidates
             .iter()
             .max_by_key(|&&i| {
@@ -798,12 +854,10 @@ impl Scheduler {
     }
 
     fn dispatch_pending(&mut self, now: Instant) {
-        for seq in 0..self.jobs.len() {
-            if self.jobs[seq].finished {
-                continue;
-            }
-            for k in 0..self.jobs[seq].shards.len() {
-                let s = &self.jobs[seq].shards[k];
+        let live: Vec<usize> = self.jobs.keys().copied().collect();
+        for seq in live {
+            for k in 0..self.jobs[&seq].shards.len() {
+                let s = &self.jobs[&seq].shards[k];
                 if s.rows.is_some() || !s.assigned.is_empty() || s.eligible_at > now {
                     continue;
                 }
@@ -817,7 +871,7 @@ impl Scheduler {
                     );
                     break;
                 }
-                let range = self.jobs[seq].shards[k].range.clone();
+                let range = s.range.clone();
                 if let Some(w) = self.pick_worker(seq, &range, now) {
                     self.dispatch(seq, k, w, now);
                 }
@@ -826,12 +880,10 @@ impl Scheduler {
     }
 
     fn dispatch_speculative(&mut self, now: Instant) {
-        for seq in 0..self.jobs.len() {
-            if self.jobs[seq].finished {
-                continue;
-            }
-            for k in 0..self.jobs[seq].shards.len() {
-                let s = &self.jobs[seq].shards[k];
+        let live: Vec<usize> = self.jobs.keys().copied().collect();
+        for seq in live {
+            for k in 0..self.jobs[&seq].shards.len() {
+                let s = &self.jobs[&seq].shards[k];
                 if s.rows.is_none()
                     && s.assigned.len() == 1
                     && now.duration_since(s.dispatched_at) > self.policy.speculative_after
@@ -850,32 +902,30 @@ impl Scheduler {
     }
 
     fn dispatch(&mut self, seq: usize, k: usize, w: usize, now: Instant) {
-        {
-            let s = &mut self.jobs[seq].shards[k];
-            s.attempts += 1;
-            s.assigned.push(w);
-            s.dispatched_at = now;
-        }
-        self.workers[w].inflight.push((seq as u32, k as u32));
-        kpm_obs::counter_add("fleet.dispatched", 1);
+        let job = self.jobs.get_mut(&seq).expect("live job");
+        let s = &mut job.shards[k];
+        s.attempts += 1;
+        s.assigned.push(w);
+        s.dispatched_at = now;
+        let request = Frame::RequestRef {
+            job: seq as u64,
+            shard: k as u32,
+            start: s.range.start as u64,
+            end: s.range.end as u64,
+        };
         // Spec travels once per (worker, job); every shard after that is an
         // O(1) reference.
-        if !self.workers[w].announced.contains(&(seq as u32)) {
-            let announce =
-                Frame::SpecAnnounce { job: seq as u64, spec: self.jobs[seq].line.clone() };
+        let announce = (!self.workers[w].announced.contains(&(seq as u32)))
+            .then(|| Frame::SpecAnnounce { job: seq as u64, spec: job.line.clone() });
+        self.workers[w].inflight.push((seq as u32, k as u32));
+        kpm_obs::counter_add("fleet.dispatched", 1);
+        if let Some(announce) = announce {
             if self.workers[w].tx.send(&announce).is_err() {
                 self.kill_worker(w, now);
                 return;
             }
             self.workers[w].announced.insert(seq as u32);
         }
-        let range = &self.jobs[seq].shards[k].range;
-        let request = Frame::RequestRef {
-            job: seq as u64,
-            shard: k as u32,
-            start: range.start as u64,
-            end: range.end as u64,
-        };
         if self.workers[w].tx.send(&request).is_err() {
             self.kill_worker(w, now);
         }
@@ -887,6 +937,7 @@ mod tests {
     use super::*;
     use kpm_shard::transport::loopback_pair;
     use kpm_shard::worker::{serve_endpoint_with, WorkerFault};
+    use std::sync::{Arc, Mutex};
 
     fn spawn_workers(n: usize) -> Vec<Endpoint> {
         (0..n)
@@ -937,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_submission_prefills_from_the_journal_image() {
+    fn repeat_submission_is_served_from_warm_rows() {
         let fleet = Fleet::start(spawn_workers(2), fast_policy(), None).unwrap();
         let client = fleet.client();
         let first = client.submit(LINE_A).unwrap().into_stats().unwrap();
@@ -945,8 +996,123 @@ mod tests {
         assert_eq!(first.mean, again.mean);
         assert_eq!(first.mean, reference(LINE_A));
         let stats = fleet.shutdown().unwrap();
-        // The duplicate was served whole from journaled rows.
-        assert_eq!(stats.prefilled_shards, 4);
+        // The finished job left the journal image, so the duplicate went to
+        // the workers that hold its rows.
+        assert_eq!(stats.prefilled_shards, 0);
+        assert!(stats.place_warm_rows > 0, "{stats:?}");
+    }
+
+    /// A worker without an inventory that logs every range it is asked
+    /// for, so the log is exactly the dispatched shard plan.
+    fn recording_worker(log: Arc<Mutex<Vec<Range<usize>>>>) -> Endpoint {
+        let (coord, mut worker) = loopback_pair("fleet-recording");
+        std::thread::spawn(move || {
+            let mut specs: HashMap<u64, ShardJob> = HashMap::new();
+            loop {
+                let reply = match worker.rx.recv_timeout(Duration::from_secs(10)) {
+                    Ok(Some(Frame::SpecAnnounce { job, spec })) => {
+                        specs.insert(job, ShardJob::parse(&spec).unwrap());
+                        continue;
+                    }
+                    Ok(Some(Frame::RequestRef { job, shard, start, end })) => {
+                        let range = start as usize..end as usize;
+                        log.lock().unwrap().push(range.clone());
+                        let rows = specs[&job].compute_partial(range).unwrap();
+                        Frame::Result(kpm_shard::wire::ShardResult { job, shard, rows })
+                    }
+                    Ok(Some(Frame::Ping { nonce })) => Frame::Pong { nonce },
+                    Ok(Some(Frame::InventoryQuery)) => Frame::Inventory(Default::default()),
+                    Ok(Some(Frame::Shutdown)) | Err(_) => break,
+                    Ok(_) => continue,
+                };
+                if worker.tx.send(&reply).is_err() {
+                    break;
+                }
+            }
+        });
+        coord
+    }
+
+    #[test]
+    fn paper_sets_dispatch_as_whole_r_wide_shards() {
+        // S = 3 sets of the paper's R = 14 under the default cap of four
+        // shards: one 14-wide shard per set, never a piece of one.
+        let line = "dos lattice=chain:40 moments=12 random=14 sets=3 seed=5";
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let endpoints = (0..2).map(|_| recording_worker(Arc::clone(&log))).collect();
+        let fleet = Fleet::start(endpoints, fast_policy(), None).unwrap();
+        let merged = fleet.client().submit(line).unwrap().into_stats().unwrap();
+        assert_eq!(merged.mean, reference(line));
+        drop(fleet);
+        let mut ranges = log.lock().unwrap().clone();
+        ranges.sort_by_key(|r| r.start);
+        assert_eq!(ranges, vec![0..14, 14..28, 28..42]);
+    }
+
+    #[test]
+    fn finished_jobs_leave_the_journal_image_and_job_table() {
+        let (tx, rx) = mpsc::channel();
+        let mut scheduler = Scheduler::new(fast_policy(), None, Replayed::default(), tx.clone());
+        let drive = std::thread::spawn(move || {
+            scheduler.drive(&rx);
+            scheduler
+        });
+        for ep in spawn_workers(2) {
+            tx.send(Event::Msg(FleetMsg::Join(ep))).unwrap();
+        }
+        let client = FleetClient { tx: tx.clone() };
+        let rx_a = client.submit_async(LINE_A).unwrap();
+        let rx_b = client.submit_async(LINE_B).unwrap();
+        assert_eq!(rx_a.recv().unwrap().unwrap().into_stats().unwrap().mean, reference(LINE_A));
+        assert_eq!(rx_b.recv().unwrap().unwrap().into_stats().unwrap().mean, reference(LINE_B));
+        assert!(client.submit("dos lattice=blob:9").is_err());
+        client.submit(LINE_A).unwrap();
+        tx.send(Event::Msg(FleetMsg::Shutdown)).unwrap();
+        let scheduler = drive.join().unwrap();
+        assert!(scheduler.journaled.is_empty(), "no --journal: nothing may stay imaged");
+        assert!(scheduler.jobs.is_empty());
+        assert!(scheduler.workers.iter().all(|w| w.announced.is_empty()));
+        assert_eq!(scheduler.stats.jobs_completed, 3);
+    }
+
+    #[test]
+    fn worker_row_model_coalesces_and_stays_bounded() {
+        let (coord, _worker) = loopback_pair("row-model");
+        let now = Instant::now();
+        let mut w = WorkerSt {
+            peer: coord.peer,
+            tx: coord.tx,
+            alive: true,
+            last_seen: now,
+            joined_at: now,
+            inflight: Vec::new(),
+            announced: HashSet::new(),
+            inv_seen: true,
+            inv_ops: HashSet::new(),
+            inv_rows: VecDeque::new(),
+            inv_tuned: false,
+        };
+        let run = |key, start, end| RowRun { key, start, end, n: 16 };
+        // Abutting results of one row family fuse into one run, in either
+        // order; a repeat of held rows adds nothing.
+        w.note_rows(run(1, 14, 28));
+        w.note_rows(run(1, 0, 14));
+        w.note_rows(run(1, 28, 42));
+        w.note_rows(run(1, 14, 28));
+        assert_eq!(Vec::from(w.inv_rows.clone()), vec![run(1, 0, 42)]);
+        // Another family (or another length) is its own run.
+        w.note_rows(run(2, 0, 14));
+        w.note_rows(RowRun { n: 32, ..run(1, 42, 56) });
+        assert_eq!(w.inv_rows.len(), 3);
+        // An unbounded stream of distinct jobs keeps the model at the
+        // worker's row cap, oldest runs dropped first.
+        for key in 3..10_000u64 {
+            w.note_rows(run(key, 0, 14));
+        }
+        let held: u64 = w.inv_rows.iter().map(|r| r.end - r.start).sum();
+        assert!(held <= ROW_MODEL_CAP, "{held} rows modeled");
+        assert_eq!(w.inv_rows.back(), Some(&run(9_999, 0, 14)));
+        assert!(w.inv_rows.iter().all(|r| r.key > 2), "oldest runs go first");
     }
 
     #[test]
@@ -1001,17 +1167,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kpm-fleet-restart-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // First coordinator: crashes (by injection) after two journaled
-        // results.
+        // results — mid-job, as six sets make four shards.
+        let line = "dos lattice=chain:48 moments=16 random=3 sets=6 seed=11";
         let policy = FleetPolicy { kill_after_results: Some(2), ..fast_policy() };
         let fleet = Fleet::start(spawn_workers(2), policy, Some(&dir)).unwrap();
-        let rx = fleet.client().submit_async(LINE_A).unwrap();
+        let rx = fleet.client().submit_async(line).unwrap();
         assert!(rx.recv().is_err(), "the killed coordinator must not answer");
         drop(fleet);
         // Restarted coordinator: replays the journal, computes only what is
         // missing, and the merge is bitwise identical.
         let fleet = Fleet::start(spawn_workers(2), fast_policy(), Some(&dir)).unwrap();
-        let merged = fleet.client().submit(LINE_A).unwrap().into_stats().unwrap();
-        assert_eq!(merged.mean, reference(LINE_A));
+        let merged = fleet.client().submit(line).unwrap().into_stats().unwrap();
+        assert_eq!(merged.mean, reference(line));
         let stats = fleet.shutdown().unwrap();
         assert!(stats.replayed_rows > 0, "journal must have been replayed");
         assert!(stats.prefilled_shards > 0, "replayed rows must pre-fill shards");

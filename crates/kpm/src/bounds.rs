@@ -336,6 +336,12 @@ pub fn bounds_cache_len() -> usize {
     cache().lock().unwrap().len()
 }
 
+/// The bounds memoized for operator `op_key` under `method`, if any — lets
+/// a caller that needs only the bounds skip assembling the operator.
+pub fn memoized(op_key: u64, method: BoundsMethod) -> Option<SpectralBounds> {
+    cache().lock().unwrap().get(&(op_key, provider_key(method))).copied()
+}
+
 /// Resolves spectral bounds for `op`, memoized per operator when an
 /// [`OpKeyScope`] is active.
 ///
@@ -352,16 +358,14 @@ pub fn resolve<A: Boundable + ?Sized>(
     method: BoundsMethod,
 ) -> Result<SpectralBounds, KpmError> {
     kpm_obs::counter_add("kpm.bounds.probe", 1);
-    let key = current_op_key().map(|k| (k, provider_key(method)));
-    if let Some(k) = key {
-        if let Some(hit) = cache().lock().unwrap().get(&k) {
-            kpm_obs::counter_add("kpm.bounds.cache_hit", 1);
-            return Ok(*hit);
-        }
+    let op_key = current_op_key();
+    if let Some(hit) = op_key.and_then(|k| memoized(k, method)) {
+        kpm_obs::counter_add("kpm.bounds.cache_hit", 1);
+        return Ok(hit);
     }
     let bounds = op.spectral_bounds(method)?;
-    if let Some(k) = key {
-        cache().lock().unwrap().insert(k, bounds);
+    if let Some(k) = op_key {
+        cache().lock().unwrap().insert((k, provider_key(method)), bounds);
     }
     if kpm_obs::enabled() {
         let detail =

@@ -491,7 +491,7 @@ mod tests {
         let total = params.total_realizations();
         for shards in [1usize, 2, 4, 6] {
             let mut rows: Vec<Vec<f64>> = Vec::new();
-            for range in crate::moments::shard_plan(total, shards) {
+            for range in crate::moments::split_even(total, shards) {
                 rows.extend(double_moments_partial(&hs, &w, &params, range).unwrap());
             }
             let merged = DoubleMoments::merge_realizations(&rows, params.num_moments);

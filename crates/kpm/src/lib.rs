@@ -80,7 +80,7 @@ pub use green::{GreenEstimator, GreensFunction};
 pub use kernels::KernelType;
 pub use kubo::{Conductivity, DoubleMoments, KuboEstimator};
 pub use ldos::LdosEstimator;
-pub use moments::{shard_plan, KpmParams, MomentStats, Recursion};
+pub use moments::{shard_plan, split_even, KpmParams, MomentStats, Recursion};
 pub use random::Distribution;
 pub use rescale::BoundsMethod;
 pub use tune::{ensure_profile, ExecProfile, ProbeShape, ProfileStore};
@@ -116,8 +116,8 @@ pub mod prelude {
     pub use crate::ldos::LdosEstimator;
     pub use crate::moments::{
         block_vector_moments, block_vector_moments_mixed, per_realization_moments,
-        realization_chunk_count, shard_plan, single_vector_moments, stochastic_moments, KpmParams,
-        MomentStats, Recursion,
+        realization_chunk_count, shard_plan, single_vector_moments, split_even, stochastic_moments,
+        KpmParams, MomentStats, Recursion,
     };
     pub use crate::random::{realization_stream, Distribution};
     pub use crate::rescale::{rescale, Boundable, BoundsMethod};

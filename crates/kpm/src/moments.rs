@@ -272,23 +272,71 @@ impl MomentStats {
     }
 }
 
-/// Deterministic partition of `total` realizations into at most
-/// `num_shards` contiguous, non-empty index ranges covering `0..total`.
-///
-/// The plan is a pure function of `(total, num_shards)` — no RNG, no
-/// timing — so every node of a distributed run derives the identical
-/// partition, and shard `k` always means the same realization indices on
-/// coordinator and workers. Ranges differ in length by at most one
-/// (`k * total / shards` boundaries). When `num_shards > total` the plan
-/// degenerates to one shard per realization.
+/// Cuts `0..total` into at most `parts` contiguous, non-empty ranges whose
+/// lengths differ by at most one (`k * total / parts` boundaries); one
+/// range per index when `parts > total`. Set boundaries are ignored — the
+/// [`ExecPlan::Hybrid`] column runs use it, and tests use it as an
+/// arbitrary partition.
 ///
 /// # Panics
-/// Panics if `total == 0` or `num_shards == 0`.
-pub fn shard_plan(total: usize, num_shards: usize) -> Vec<std::ops::Range<usize>> {
+/// Panics if `total == 0` or `parts == 0`.
+pub fn split_even(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    assert!(total > 0, "cannot split zero realizations");
+    assert!(parts > 0, "need at least one part");
+    let parts = parts.min(total);
+    (0..parts).map(|k| (k * total / parts)..((k + 1) * total / parts)).collect()
+}
+
+/// Narrowest piece [`shard_plan`] cuts a realization set into. Per column,
+/// a `K = 2` fused step costs 2.4–5x a `K = 14` one, while from about seven
+/// columns up it is within 20% of it on CSR and ELL (DESIGN §8), so a
+/// narrower piece loses more per column than a second worker gains.
+pub const MIN_SHARD_COLS: usize = 8;
+
+/// Deterministic, set-aligned partition of `total` realizations (sets of
+/// `r_per_set` consecutive indices, `idx = s * R + r`) into at most
+/// `max_shards` contiguous, non-empty ranges covering `0..total`.
+///
+/// A shard is a run of whole sets, so a worker advances each set as one
+/// `R`-wide block. With at least `max_shards` sets, the sets are grouped
+/// into `max_shards` near-equal runs. With fewer, each set is cut into
+/// `min(max_shards / sets, R / MIN_SHARD_COLS).max(1)` near-equal pieces:
+/// the paper's `R = 14` set stays whole, an `R = 64` set can split up to
+/// eight ways. A short last set (`total` not a multiple of `R`) counts as
+/// a set.
+///
+/// The plan is a pure function of its inputs — no RNG, no timing — so
+/// every node of a distributed run, and a restarted coordinator, derives
+/// the identical partition. The slicing never changes a bit of the merge:
+/// [`per_realization_moments`] is independent of how a range cuts sets.
+///
+/// # Panics
+/// Panics if `r_per_set`, `total` or `max_shards` is zero.
+pub fn shard_plan(
+    r_per_set: usize,
+    total: usize,
+    max_shards: usize,
+) -> Vec<std::ops::Range<usize>> {
+    assert!(r_per_set > 0, "need at least one realization per set");
     assert!(total > 0, "cannot shard zero realizations");
-    assert!(num_shards > 0, "need at least one shard");
-    let shards = num_shards.min(total);
-    (0..shards).map(|k| (k * total / shards)..((k + 1) * total / shards)).collect()
+    assert!(max_shards > 0, "need at least one shard");
+    let sets = total.div_ceil(r_per_set);
+    let set_start = |s: usize| (s * r_per_set).min(total);
+    if sets >= max_shards {
+        return split_even(sets, max_shards)
+            .into_iter()
+            .map(|g| set_start(g.start)..set_start(g.end))
+            .collect();
+    }
+    let pieces = (max_shards / sets).min(r_per_set / MIN_SHARD_COLS).max(1);
+    (0..sets)
+        .flat_map(|s| {
+            let base = set_start(s);
+            let width = set_start(s + 1) - base;
+            let pieces = pieces.min(width / MIN_SHARD_COLS).max(1);
+            split_even(width, pieces).into_iter().map(move |p| base + p.start..base + p.end)
+        })
+        .collect()
 }
 
 /// Groups a realization index range into per-set `(s, r_lo..r_hi)` chunks —
@@ -466,7 +514,7 @@ pub fn per_realization_moments_with_plan<A: TiledOp + Sync>(
 }
 
 /// Cuts `range` into at most `outer` near-equal contiguous runs
-/// ([`shard_plan`] boundaries) and maps `f` over them, one thread per run
+/// ([`split_even`] boundaries) and maps `f` over them, one thread per run
 /// (the calling thread takes the first), with no synchronization between
 /// runs until they are joined. Results are concatenated in run order, so
 /// the output — and the canonical realization-order reduction downstream —
@@ -481,8 +529,8 @@ pub(crate) fn column_runs<T: Send>(
     f: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
 ) -> Vec<T> {
     let base = range.start;
-    let mut runs = shard_plan(range.len(), outer).into_iter().map(|r| base + r.start..base + r.end);
-    let first = runs.next().expect("shard_plan yields at least one run");
+    let mut runs = split_even(range.len(), outer).into_iter().map(|r| base + r.start..base + r.end);
+    let first = runs.next().expect("split_even yields at least one run");
     std::thread::scope(|scope| {
         let f = &f;
         let rest: Vec<_> = runs.map(|run| scope.spawn(move || f(run))).collect();
@@ -1031,10 +1079,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_partitions_exactly() {
+    fn split_even_partitions_exactly() {
         for total in [1usize, 2, 7, 12, 100] {
             for shards in [1usize, 2, 3, 5, 8, 200] {
-                let plan = shard_plan(total, shards);
+                let plan = split_even(total, shards);
                 assert_eq!(plan.len(), shards.min(total));
                 assert_eq!(plan[0].start, 0);
                 assert_eq!(plan.last().unwrap().end, total);
@@ -1053,6 +1101,26 @@ mod tests {
     }
 
     #[test]
+    fn shard_plan_keeps_sets_whole() {
+        // The paper's fig. 5 shape (S = 3, R = 14) under a cap of four:
+        // one R-wide shard per set, never a piece of one.
+        assert_eq!(shard_plan(14, 42, 4), vec![0..14, 14..28, 28..42]);
+        // One set of the paper's width stays one shard.
+        assert_eq!(shard_plan(14, 14, 4), vec![0..14]);
+        // More sets than shards: whole sets, grouped near-evenly.
+        assert_eq!(shard_plan(3, 30, 4), vec![0..6, 6..15, 15..21, 21..30]);
+        // A wide set is cut, but never below MIN_SHARD_COLS columns.
+        assert_eq!(shard_plan(64, 64, 4), vec![0..16, 16..32, 32..48, 48..64]);
+        assert_eq!(shard_plan(16, 16, 4), vec![0..8, 8..16]);
+        assert_eq!(
+            shard_plan(64, 128, 8),
+            vec![0..16, 16..32, 32..48, 48..64, 64..80, 80..96, 96..112, 112..128]
+        );
+        // A short last set counts as a set.
+        assert_eq!(shard_plan(4, 10, 8), vec![0..4, 4..8, 8..10]);
+    }
+
+    #[test]
     fn sharded_per_realization_ranges_merge_bitwise_to_full_run() {
         // Any partition of the index range, merged canonically, must equal
         // the single-pass estimator bit for bit — the distributed-run
@@ -1067,7 +1135,7 @@ mod tests {
         let total = p.total_realizations();
         for shards in [1usize, 2, 3, 5, 7, 12] {
             let mut rows: Vec<Vec<f64>> = Vec::new();
-            for range in shard_plan(total, shards) {
+            for range in split_even(total, shards) {
                 rows.extend(per_realization_moments(&op, &p, range));
             }
             let merged = MomentStats::merge_realizations(&rows);

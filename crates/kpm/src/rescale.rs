@@ -130,12 +130,22 @@ pub fn rescale<A: LinearOp>(
     eps: f64,
 ) -> Result<RescaledOp<A>, KpmError> {
     let _span = kpm_obs::span("kpm.rescale");
+    let (a_plus, a_minus) = rescale_map(bounds, eps)?;
+    Ok(RescaledOp::new(op, a_plus, a_minus))
+}
+
+/// The `(a_plus, a_minus)` affine map [`rescale`] builds from `bounds` and
+/// padding `eps` — for callers that need the map but not the operator.
+///
+/// # Errors
+/// [`KpmError::DegenerateSpectrum`] when the (padded) half-width is zero.
+pub fn rescale_map(bounds: SpectralBounds, eps: f64) -> Result<(f64, f64), KpmError> {
     let padded = bounds.padded(eps);
     let a_minus = padded.a_minus();
     if a_minus <= 0.0 {
         return Err(KpmError::DegenerateSpectrum);
     }
-    Ok(RescaledOp::new(op, padded.a_plus(), a_minus))
+    Ok((padded.a_plus(), a_minus))
 }
 
 #[cfg(test)]

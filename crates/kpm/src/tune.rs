@@ -30,10 +30,9 @@
 //!   `dim >= ROW_MIN_DIM` family boundary `Auto` pins, and
 //!   [`ExecProfile::plan`] re-checks at use.
 //!
-//! Value-*affecting* candidates — the [`vecops::KernelVariant::Unrolled8`]
-//! kernel and the mixed-precision moments path — are probed but recorded
-//! only as an advisory `variant` hint; applying them requires the explicit
-//! opt-ins (`KPM_KERNEL_VARIANT`, `--precision mixed`).
+//! Value-*affecting* choices — the `Unrolled8` dot association and the
+//! mixed-precision moments path — are never probed or recorded; they stay
+//! explicit opt-ins (`KPM_KERNEL_VARIANT`, `--precision mixed`).
 //!
 //! # Keys
 //!
@@ -50,7 +49,6 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use kpm_linalg::tiled::{self, TiledOp};
-use kpm_linalg::vecops::{self, KernelVariant};
 use kpm_linalg::DEFAULT_TILE_ROWS;
 
 use crate::exec::{self, ExecPlan, ExecPolicy, ROW_MIN_DIM};
@@ -143,10 +141,6 @@ pub struct ExecProfile {
     pub outer: usize,
     /// Winning tile height (a canonical-grid multiple when measured).
     pub tile_rows: usize,
-    /// Advisory kernel-variant hint from the micro-probe. Never applied by
-    /// [`ExecProfile::plan`] — value-affecting, opt-in via
-    /// `KPM_KERNEL_VARIANT` only.
-    pub variant_hint: KernelVariant,
     /// Probe time of the winner in nanoseconds (0 for priors).
     pub probe_nanos: u64,
     /// Measured or prior.
@@ -202,7 +196,7 @@ impl ExecProfile {
         format!(
             "kpm-profile v1\n\
              dim={}\nentries={}\nchunks={}\nthreads={}\n\
-             policy={}\nouter={}\ntile_rows={}\nvariant={}\n\
+             policy={}\nouter={}\ntile_rows={}\n\
              probe_nanos={}\norigin={}\n",
             self.shape.dim,
             self.shape.entries,
@@ -211,7 +205,6 @@ impl ExecProfile {
             self.policy.as_str(),
             self.outer,
             self.tile_rows,
-            self.variant_hint.name(),
             self.probe_nanos,
             self.origin.as_str(),
         )
@@ -233,7 +226,6 @@ impl ExecProfile {
         let mut policy = None;
         let mut outer = 0usize;
         let mut tile_rows = None;
-        let mut variant = KernelVariant::Unrolled4;
         let mut probe_nanos = 0u64;
         let mut origin = ProfileOrigin::Measured;
         for line in lines {
@@ -252,13 +244,14 @@ impl ExecProfile {
                 "policy" => policy = Some(v.parse::<ExecPolicy>()?),
                 "outer" => outer = parse_usize(v)?,
                 "tile_rows" => tile_rows = Some(parse_usize(v)?),
-                "variant" => variant = v.parse::<KernelVariant>()?,
                 "probe_nanos" => {
                     probe_nanos =
                         v.parse::<u64>().map_err(|_| format!("bad value for {k}: '{v}'"))?
                 }
                 "origin" => origin = v.parse::<ProfileOrigin>()?,
-                _ => {} // unknown keys tolerated
+                // Unknown keys tolerated — including the retired advisory
+                // `variant=` hint that stores of older versions carry.
+                _ => {}
             }
         }
         let shape = ProbeShape {
@@ -272,7 +265,6 @@ impl ExecProfile {
             policy: policy.ok_or("missing policy")?,
             outer,
             tile_rows: tile_rows.ok_or("missing tile_rows")?,
-            variant_hint: variant,
             probe_nanos,
             origin,
         })
@@ -523,14 +515,13 @@ pub fn prior_profile(shape: ProbeShape) -> ExecProfile {
         shape.threads,
         exec::tile_rows(),
     );
-    profile_of(shape, plan, KernelVariant::Unrolled4, 0, ProfileOrigin::Prior)
+    profile_of(shape, plan, 0, ProfileOrigin::Prior)
 }
 
 /// Records `plan` as the profile for `shape`.
 fn profile_of(
     shape: ProbeShape,
     plan: ExecPlan,
-    variant_hint: KernelVariant,
     probe_nanos: u64,
     origin: ProfileOrigin,
 ) -> ExecProfile {
@@ -541,7 +532,7 @@ fn profile_of(
         ExecPlan::Rows { tile_rows, .. } => (ExecPolicy::Rows, 0, tile_rows),
         ExecPlan::Hybrid { outer, tile_rows, .. } => (ExecPolicy::Hybrid, outer, tile_rows),
     };
-    ExecProfile { shape, policy, outer, tile_rows, variant_hint, probe_nanos, origin }
+    ExecProfile { shape, policy, outer, tile_rows, probe_nanos, origin }
 }
 
 /// Probe workload: at least two start columns (one per thread, so every
@@ -632,34 +623,7 @@ fn probe<A: TiledOp + Sync + ?Sized>(op: &A, shape: ProbeShape) -> ExecProfile {
     }
 
     let nanos = best_t.as_nanos().min(u128::from(u64::MAX)) as u64;
-    profile_of(shape, best, variant_hint(d), nanos, ProfileOrigin::Measured)
-}
-
-/// Micro-probes the combine-dot kernel variants on `d`-length buffers and
-/// returns the faster one. Advisory only: the hint is recorded in the
-/// profile but never applied implicitly (Unrolled8 is value-affecting).
-pub fn variant_hint(d: usize) -> KernelVariant {
-    let n = d.clamp(1024, 1 << 18);
-    let hx = vec![0.5f64; n];
-    let r0 = vec![0.25f64; n];
-    let mut prev = vec![0.1f64; n];
-    let mut time_variant = |v: KernelVariant| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..3 {
-            prev.fill(0.1);
-            let t0 = Instant::now();
-            std::hint::black_box(vecops::chebyshev_combine_dot_variant(v, &hx, &mut prev, &r0));
-            best = best.min(t0.elapsed());
-        }
-        best
-    };
-    let t4 = time_variant(KernelVariant::Unrolled4);
-    let t8 = time_variant(KernelVariant::Unrolled8);
-    if t8 < t4 {
-        KernelVariant::Unrolled8
-    } else {
-        KernelVariant::Unrolled4
-    }
+    profile_of(shape, best, nanos, ProfileOrigin::Measured)
 }
 
 #[cfg(test)]
@@ -672,7 +636,6 @@ mod tests {
             policy: ExecPolicy::Rows,
             outer: 0,
             tile_rows: 2 * DEFAULT_TILE_ROWS,
-            variant_hint: KernelVariant::Unrolled8,
             probe_nanos: 1234,
             origin: ProfileOrigin::Measured,
         }
@@ -697,6 +660,15 @@ mod tests {
         assert!(ExecProfile::from_text("kpm-profile v1\ndim=10\n").is_err()); // missing fields
         let v2 = text.replace("kpm-profile v1", "kpm-profile v2");
         assert!(ExecProfile::from_text(&v2).is_err());
+    }
+
+    #[test]
+    fn profiles_with_the_retired_variant_line_still_load() {
+        let p = measured(1000, 6400);
+        let old = p.to_text().replace("probe_nanos=", "variant=unrolled8\nprobe_nanos=");
+        assert!(old.contains("variant=unrolled8"));
+        assert_eq!(ExecProfile::from_text(&old).unwrap(), p);
+        assert!(!p.to_text().contains("variant"));
     }
 
     #[test]

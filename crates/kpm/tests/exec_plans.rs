@@ -241,7 +241,6 @@ proptest! {
             policy: if hybrid { ExecPolicy::Hybrid } else { ExecPolicy::Rows },
             outer: if hybrid { outer } else { 0 },
             tile_rows: tile_mult * kpm_linalg::DEFAULT_TILE_ROWS,
-            variant_hint: kpm_linalg::vecops::KernelVariant::Unrolled4,
             probe_nanos: 1,
             origin: kpm::tune::ProfileOrigin::Measured,
         };
@@ -328,7 +327,7 @@ fn sharded_ranges_merge_bitwise_under_tiled_plans() {
     let full = per_realization_moments(&op, &params, 0..total);
     for shards in [2usize, 3, 5] {
         let mut merged = Vec::new();
-        for range in shard_plan(total, shards) {
+        for range in split_even(total, shards) {
             merged.extend(per_realization_moments(&op, &params, range));
         }
         assert_eq!(merged, full, "{shards} shards must reproduce the full run bitwise");

@@ -1,8 +1,8 @@
 //! The coordinator: dispatch shards, survive workers, merge exactly.
 //!
-//! [`run`] partitions a job's realization units into deterministic shards
-//! ([`kpm::shard_plan`]), dispatches them to workers over any
-//! [`Endpoint`]s, and merges the returned per-realization rows in
+//! [`run`] partitions a job's realization units into deterministic,
+//! set-aligned shards ([`kpm::shard_plan`]), dispatches them to workers
+//! over any [`Endpoint`]s, and merges the returned per-realization rows in
 //! canonical order — so the merged moments are bitwise identical to a
 //! single-process run no matter how many workers, how the shards were
 //! split, or which workers died along the way.
@@ -40,7 +40,9 @@ const EVENT_POLL: Duration = Duration::from_millis(20);
 /// Scheduling and fault-tolerance knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPolicy {
-    /// Target shards per worker (> 1 keeps reassignment granular).
+    /// Cap on shards per worker (> 1 keeps reassignment granular). The
+    /// plan keeps realization sets whole ([`kpm::shard_plan`]), so a job
+    /// with few narrow sets runs as fewer, wider shards.
     pub shards_per_worker: usize,
     /// How often the coordinator pings every live worker.
     pub heartbeat_interval: Duration,
@@ -192,10 +194,9 @@ struct Coordinator<'a> {
 
 impl<'a> Coordinator<'a> {
     fn new(job: &'a ShardJob, policy: &'a ShardPolicy, workers: Vec<WorkerState>) -> Self {
-        let total = job.total_units();
-        let num_shards = total.min(workers.len() * policy.shards_per_worker.max(1)).max(1);
         let now = Instant::now();
-        let shards = kpm::shard_plan(total, num_shards)
+        let shards = job
+            .shard_plan(workers.len() * policy.shards_per_worker)
             .into_iter()
             .map(|range| ShardState {
                 range,
@@ -585,7 +586,7 @@ mod tests {
         let kubo = ShardJob::parse("kubo lattice=chain:16 moments=6 random=2 sets=2").unwrap();
         let merged = run(&kubo, spawn_workers(&[None, None, None]), &fast_policy()).unwrap();
         let mut rows = Vec::new();
-        for range in kpm::shard_plan(kubo.total_units(), 1) {
+        for range in kpm::split_even(kubo.total_units(), 1) {
             rows.extend(kubo.compute_partial(range).unwrap());
         }
         let direct = kubo.merge(&rows).unwrap().into_double().unwrap();

@@ -147,6 +147,18 @@ impl ShardJob {
         }
     }
 
+    /// The job's set-aligned shard plan under a cap of `max_shards`
+    /// ([`kpm::shard_plan`]) — what both dispatchers cut a job into. Sets
+    /// are the `R` realizations a worker advances as one block; the single
+    /// LDoS unit is a set of one.
+    pub fn shard_plan(&self, max_shards: usize) -> Vec<Range<usize>> {
+        let r_per_set = match self {
+            ShardJob::Dos(spec) | ShardJob::Kubo(spec) => spec.num_random,
+            ShardJob::Ldos { .. } => 1,
+        };
+        kpm::shard_plan(r_per_set, self.total_units(), max_shards.max(1))
+    }
+
     /// Length every per-realization row must have.
     pub fn moment_len(&self) -> usize {
         match self {
@@ -205,24 +217,30 @@ impl ShardJob {
 
     /// The `(a_plus, a_minus)` rescaling the moments were computed under —
     /// deterministic from the spec, so coordinator and workers agree
-    /// without shipping floats.
+    /// without shipping floats. Read from the per-`op_key` bounds memo when
+    /// an earlier job or an in-process worker filled it; the Hamiltonian is
+    /// assembled only on a memo miss.
     ///
     /// # Errors
     /// [`ShardError::Job`] if bounds or rescaling fail.
     pub fn bounds(&self) -> Result<(f64, f64), ShardError> {
         let spec = self.spec();
         let params = spec.kpm_params();
-        let _bounds_scope = kpm::OpKeyScope::enter(self.op_key());
-        match self {
-            ShardJob::Kubo(_) => {
-                let h = kubo_csr(spec)?;
-                rescaled_bounds(&h, &params)
+        let bounds = match kpm::bounds::memoized(self.op_key(), params.bounds) {
+            Some(b) => b,
+            None => {
+                let _bounds_scope = kpm::OpKeyScope::enter(self.op_key());
+                match self {
+                    ShardJob::Kubo(_) => kpm::bounds::resolve(&kubo_csr(spec)?, params.bounds),
+                    _ => match &spec.build_matrix() {
+                        JobMatrix::Sparse(h) => kpm::bounds::resolve(h, params.bounds),
+                        JobMatrix::Dense(h) => kpm::bounds::resolve(h, params.bounds),
+                    },
+                }
+                .map_err(job_err)?
             }
-            _ => match &spec.build_matrix() {
-                JobMatrix::Sparse(h) => rescaled_bounds(h, &params),
-                JobMatrix::Dense(h) => rescaled_bounds(h, &params),
-            },
-        }
+        };
+        kpm::rescale::rescale_map(bounds, params.padding).map_err(job_err)
     }
 
     /// The worker half: per-realization moment rows for `range`, one row
@@ -337,12 +355,6 @@ fn kubo_csr(spec: &JobSpec) -> Result<kpm_linalg::CsrMatrix, ShardError> {
     }
 }
 
-fn rescaled_bounds<A: Boundable>(h: &A, params: &KpmParams) -> Result<(f64, f64), ShardError> {
-    let bounds = kpm::bounds::resolve(h, params.bounds).map_err(job_err)?;
-    let rescaled = rescale(h, bounds, params.padding).map_err(job_err)?;
-    Ok((rescaled.a_plus(), rescaled.a_minus()))
-}
-
 /// Mirrors the single-process DoS pipeline up to (but excluding) the
 /// reduction: bounds, padded rescale, per-realization normalized moments.
 fn dos_partial<A: Boundable + TiledOp + Sync>(
@@ -444,7 +456,7 @@ mod tests {
         let job = dos_job(line);
         let total = job.total_units();
         let mut rows = Vec::new();
-        for range in kpm::shard_plan(total, 4) {
+        for range in kpm::split_even(total, 4) {
             rows.extend(job.compute_partial(range).unwrap());
         }
         let merged = job.merge(&rows).unwrap().into_stats().unwrap();
@@ -473,7 +485,7 @@ mod tests {
     fn kubo_partial_matches_double_moments_bitwise() {
         let job = ShardJob::parse("kubo lattice=chain:24 moments=6 random=2 sets=2").unwrap();
         let mut rows = Vec::new();
-        for range in kpm::shard_plan(job.total_units(), 3) {
+        for range in kpm::split_even(job.total_units(), 3) {
             rows.extend(job.compute_partial(range).unwrap());
         }
         let merged = job.merge(&rows).unwrap().into_double().unwrap();
@@ -581,7 +593,7 @@ mod tests {
             "lattice=chain:48 disorder=6@5 moments=20 random=3 sets=2 seed=9 bounds=lanczos:32";
         let job = dos_job(line);
         let mut rows = Vec::new();
-        for range in kpm::shard_plan(job.total_units(), 4) {
+        for range in kpm::split_even(job.total_units(), 4) {
             rows.extend(job.compute_partial(range).unwrap());
         }
         let merged = job.merge(&rows).unwrap().into_stats().unwrap();
@@ -594,6 +606,23 @@ mod tests {
         // the disc bound's.
         let gersh = dos_job("lattice=chain:48 disorder=6@5 moments=20 random=3 sets=2 seed=9");
         assert!(job.bounds().unwrap().1 < gersh.bounds().unwrap().1);
+    }
+
+    #[test]
+    fn bounds_from_the_memo_match_a_cold_resolution() {
+        for line in [
+            "dos lattice=chain:52 disorder=2@3 moments=16 bounds=lanczos:16",
+            "kubo lattice=chain:52 disorder=2@3 moments=6 random=2 sets=1",
+        ] {
+            let job = ShardJob::parse(line).unwrap();
+            let method = job.spec().kpm_params().bounds;
+            // A cold resolution assembles the operator and fills the memo...
+            let cold = job.bounds().unwrap();
+            assert!(kpm::bounds::memoized(job.op_key(), method).is_some(), "{line}");
+            // ...which later calls read without assembling, to the same bits.
+            let warm = job.bounds().unwrap();
+            assert_eq!((cold.0.to_bits(), cold.1.to_bits()), (warm.0.to_bits(), warm.1.to_bits()));
+        }
     }
 
     #[test]
